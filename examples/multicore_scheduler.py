@@ -12,10 +12,8 @@ back-to-back multiplies each completes on the same resources.
 Run:  python examples/multicore_scheduler.py
 """
 
-import itertools
-
 from repro import MM_INPLACE, MM_SCAN, STRASSEN, squarify
-from repro.profiles import random_walk_profile, winner_take_all_profile
+from repro.profiles import cycled, random_walk_profile, winner_take_all_profile
 from repro.simulation import SymbolicSimulator, run_repeated
 from repro.util.tables import format_table
 
@@ -57,8 +55,7 @@ def main() -> None:
             # one-shot run: ratio over the consumed prefix (cycled if the
             # scenario is shorter than one multiply needs)
             sim = SymbolicSimulator(spec, n, model="recursive")
-            stream = itertools.chain(iter(boxes), itertools.cycle(boxes.boxes.tolist()))
-            rec = sim.run_to_completion(stream)
+            rec = sim.run_to_completion(cycled(boxes))
             # repeated mode: how many multiplies fit in the scenario
             rep = run_repeated(spec, n, boxes, model="recursive")
             rows.append(

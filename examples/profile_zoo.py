@@ -9,8 +9,6 @@ tour of the profile API for new users.
 Run:  python examples/profile_zoo.py
 """
 
-import itertools
-
 from repro import MM_SCAN
 from repro.profiles import (
     Empirical,
@@ -18,6 +16,7 @@ from repro.profiles import (
     ParetoPowers,
     SquareProfile,
     UniformPowers,
+    cycled,
     order_perturbed_profile,
     random_start_shift,
     random_walk_profile,
@@ -64,8 +63,7 @@ def main() -> None:
     for name, profile in zoo(n).items():
         print(f"{name:32s} {profile.sparkline(width=56)}")
         sim = SymbolicSimulator(spec, n, model="recursive")
-        stream = itertools.chain(iter(profile), itertools.cycle(profile.boxes.tolist()))
-        rec = sim.run_to_completion(stream)
+        rec = sim.run_to_completion(cycled(profile))
         rows.append(
             (
                 name,

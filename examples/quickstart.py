@@ -12,10 +12,9 @@
 Run:  python examples/quickstart.py
 """
 
-import itertools
-
 from repro import MM_SCAN, Empirical, shuffle, worst_case_profile
 from repro.analysis import expected_cost_ratio
+from repro.profiles import sampled
 from repro.simulation import SymbolicSimulator
 
 
@@ -39,7 +38,7 @@ def main() -> None:
     # -- 3. the same boxes, shuffled ---------------------------------------
     shuffled = shuffle(profile, rng=0)
     empirical = Empirical.of_profile(profile)
-    stream = itertools.chain(iter(shuffled), empirical.sampler(rng=1))
+    stream = sampled(empirical, rng=1, head=shuffled.boxes)
     record = SymbolicSimulator(spec, n).run_to_completion(stream)
     print(
         f"shuffled order    : ratio = {record.adaptivity_ratio:.2f} "

@@ -12,14 +12,12 @@ for calibration.
 Run:  python examples/smoothed_matrix_multiply.py
 """
 
-import itertools
-
 import numpy as np
 
 from repro.algorithms import mm_inplace, mm_scan
 from repro.algorithms.mm import mm_scan_trace_adversary
 from repro.machine import run_trace_on_boxes, simulate_dam
-from repro.profiles import shuffle
+from repro.profiles import cycled, shuffle
 from repro.util.rng import as_generator
 from repro.util.tables import format_table
 
@@ -58,8 +56,7 @@ def main() -> None:
     for label, trace in (("MM-SCAN", scan_run.trace), ("MM-INPLACE", inplace_run.trace)):
         work = trace.distinct_blocks()
         for pname, profile in (("adversarial", adversary), ("shuffled", shuffled)):
-            stream = itertools.chain(iter(profile), itertools.cycle(profile.boxes.tolist()))
-            rec = run_trace_on_boxes(trace, stream)
+            rec = run_trace_on_boxes(trace, cycled(profile))
             # potential spent per unit of work: the smaller, the better the
             # boxes were used
             potential = float(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import SimulationError, SpecError
+from repro.errors import SimulationError
 from repro.algorithms.spec import RegularSpec
 
 __all__ = ["BoxOutcome", "ExecutionCursor"]
@@ -383,8 +383,9 @@ class ExecutionCursor:
             child = fr.size // spec.b if fr.size > spec.base_size else 0
             for ev in events[start:]:
                 if ev[0] == _CHILD:
-                    leaves += spec.leaves(child)
-                    scans += spec.subtree_scan_total(child)
+                    child_leaves, child_scans = self._subtree_totals(child)
+                    leaves += child_leaves
+                    scans += child_scans
                 elif ev[0] == _SCAN:
                     scans += ev[1]
         return leaves, scans

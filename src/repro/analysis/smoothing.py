@@ -15,14 +15,12 @@ version of the adversarial profile and reports realized adaptivity ratios
 * :func:`order_perturbation_trials` — the big box of each recursive node
   placed after a random copy (stays worst-case w.p. 1).
 
-All streams are infinite (profiles repeat or are re-drawn) so executions
-always complete; ratios measure only what was consumed.
+All sources are infinite box sources (:mod:`repro.profiles.sources`:
+profiles repeat or are re-drawn) so executions always complete, on the
+chunked fast path; ratios measure only what was consumed.
 """
 
 from __future__ import annotations
-
-import itertools
-from typing import Iterator
 
 import numpy as np
 
@@ -33,13 +31,16 @@ from repro.profiles.perturbations import (
     MultiplierSampler,
     random_start_shift,
 )
-from repro.profiles.worst_case import (
-    order_perturbed_profile,
-    worst_case_boxes,
-    worst_case_profile,
+from repro.profiles.sources import (
+    BoxSource,
+    cycled,
+    order_perturbed,
+    perturbed_limit,
+    sampled,
 )
+from repro.profiles.worst_case import order_perturbed_profile, worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
-from repro.util.rng import as_generator, spawn
+from repro.util.rng import spawn
 
 __all__ = [
     "iid_ratio_trials",
@@ -54,11 +55,11 @@ def _ratios(values: list[float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _run_stream(
-    spec: RegularSpec, n: int, stream: Iterator[int], completion_divisor: int = 1
+def _run_source(
+    spec: RegularSpec, n: int, source: BoxSource, completion_divisor: int = 1
 ) -> float:
     sim = SymbolicSimulator(spec, n, completion_divisor=completion_divisor)
-    rec = sim.run_to_completion(stream)
+    rec = sim.run_to_completion(source)
     return rec.adaptivity_ratio
 
 
@@ -73,7 +74,7 @@ def iid_ratio_trials(
     """Adaptivity ratios of ``trials`` runs on i.i.d. boxes from ``dist``."""
     gens = spawn(rng, trials)
     return _ratios(
-        [_run_stream(spec, n, dist.sampler(g), completion_divisor) for g in gens]
+        [_run_source(spec, n, sampled(dist, g), completion_divisor) for g in gens]
     )
 
 
@@ -95,31 +96,9 @@ def shuffled_worst_case_trials(
     gens = spawn(rng, trials)
     out = []
     for g in gens:
-        shuffled = g.permutation(base.boxes).tolist()
-        stream = itertools.chain(iter(shuffled), empirical.sampler(g))
-        out.append(_run_stream(spec, n, stream, completion_divisor))
+        source = sampled(empirical, g, head=g.permutation(base.boxes))
+        out.append(_run_source(spec, n, source, completion_divisor))
     return _ratios(out)
-
-
-def _perturbed_limit_stream(
-    spec: RegularSpec,
-    multipliers: MultiplierSampler,
-    gen: np.random.Generator,
-    batch: int = 1024,
-) -> Iterator[int]:
-    """The limit worst-case profile with each box size multiplied by an
-    i.i.d. factor; zero-rounded boxes are dropped (they provide nothing)."""
-    from repro.profiles.worst_case import limit_profile_boxes
-
-    source = limit_profile_boxes(spec.a, spec.b, spec.base_size)
-    while True:
-        sizes = np.asarray(list(itertools.islice(source, batch)), dtype=np.float64)
-        if sizes.size == 0:
-            return
-        factors = np.asarray(multipliers(sizes.size, gen), dtype=np.float64)
-        perturbed = np.rint(sizes * factors).astype(np.int64)
-        for s in perturbed[perturbed >= 1].tolist():
-            yield int(s)
 
 
 def size_perturbation_trials(
@@ -136,8 +115,11 @@ def size_perturbation_trials(
     gens = spawn(rng, trials)
     return _ratios(
         [
-            _run_stream(
-                spec, n, _perturbed_limit_stream(spec, multipliers, g), completion_divisor
+            _run_source(
+                spec,
+                n,
+                perturbed_limit(spec.a, spec.b, spec.base_size, multipliers, g),
+                completion_divisor,
             )
             for g in gens
         ]
@@ -159,9 +141,8 @@ def start_shift_trials(
     gens = spawn(rng, trials)
     out = []
     for g in gens:
-        shifted = random_start_shift(base, g)
-        stream = itertools.chain(iter(shifted), itertools.cycle(base.boxes.tolist()))
-        out.append(_run_stream(spec, n, stream, completion_divisor))
+        source = cycled(base, first=random_start_shift(base, g))
+        out.append(_run_source(spec, n, source, completion_divisor))
     return _ratios(out)
 
 
@@ -181,22 +162,25 @@ def order_perturbation_trials(
             f"adversarial_position must be in [1, {spec.a}]"
         )
     gens = spawn(rng, trials)
+    fixed: BoxSource | None = None
+    if adversarial_position is not None:
+        # A fixed position draws nothing, so every fresh profile is this one.
+        position = adversarial_position
+        fixed = cycled(
+            order_perturbed_profile(
+                spec.a,
+                spec.b,
+                n,
+                spec.base_size,
+                position_rule=lambda size, path: position,
+            )
+        )
     out = []
     for g in gens:
-        def fresh_profiles() -> Iterator[int]:
-            while True:
-                if adversarial_position is None:
-                    prof = order_perturbed_profile(
-                        spec.a, spec.b, n, spec.base_size, rng=g
-                    )
-                else:
-                    prof = order_perturbed_profile(
-                        spec.a,
-                        spec.b,
-                        n,
-                        spec.base_size,
-                        position_rule=lambda size, path: adversarial_position,
-                    )
-                yield from prof
-        out.append(_run_stream(spec, n, fresh_profiles(), completion_divisor))
+        source = (
+            fixed
+            if fixed is not None
+            else order_perturbed(spec.a, spec.b, n, spec.base_size, rng=g)
+        )
+        out.append(_run_source(spec, n, source, completion_divisor))
     return _ratios(out)

@@ -12,11 +12,18 @@ call site bypasses the profile validation (positive sizes, int64
 canonicalization) and silently pins the run to a one-shot consumable
 source.
 
-The rule flags only *syntactically obvious* raw sources at the call
-site.  Deliberately lazy streams stay legal: generator *functions* like
-``worst_case_boxes(...)`` (profiles too large to materialize) and
-``itertools.repeat(...)`` are indistinguishable from profile builders at
-the AST level and are exactly the cases the escape hatch exists for.
+Infinite continuations have a contract of their own: a box source
+from :mod:`repro.profiles.sources` (``cycled``, ``sampled``,
+``perturbed_limit``, ``order_perturbed``), which the chunked fast path
+consumes natively.  An ``itertools`` ``chain(...)`` or ``cycle(...)``
+passed as the box source is flagged: the engine cannot see through it,
+so the run silently takes the per-box scalar loop.
+
+The rule flags only *syntactically obvious* sources at the call site.
+Generator *functions* like ``worst_case_boxes(...)`` (profiles too large
+to materialize) and ``itertools.repeat(...)`` are indistinguishable from
+profile constructors at the AST level and stay legal; a stream assigned to a
+variable first is not tracked.
 """
 
 from __future__ import annotations
@@ -47,6 +54,18 @@ _METHOD_ENTRY_POINTS = {
 _RAW_SOURCE_CALLS = frozenset(
     {"iter", "range", "map", "filter", "zip", "reversed", "sorted", "list", "tuple"}
 )
+# itertools combinators that hide a box source from the chunked engine
+_STREAM_CALLS = frozenset({"chain", "cycle"})
+
+_RAW_HINT = (
+    "wrap finite box sequences in SquareProfile(...) so the simulator "
+    "sees a validated, reusable profile"
+)
+_STREAM_HINT = (
+    "build it with a box-source constructor from repro.profiles.sources "
+    "(cycled, sampled, perturbed_limit, order_perturbed) so the chunked "
+    "fast path can consume it"
+)
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -62,18 +81,37 @@ def _looks_like_simulator(receiver: ast.AST) -> bool:
     return name is not None and "sim" in name.lower()
 
 
-def _raw_source_kind(node: ast.AST) -> Optional[str]:
-    """A human-readable label when ``node`` is an inline raw box source."""
+def _stream_call(func: ast.AST) -> Optional[str]:
+    """``chain``/``cycle`` when ``func`` names one, bare or as
+    ``itertools.chain``/``itertools.cycle``."""
+    if isinstance(func, ast.Name) and func.id in _STREAM_CALLS:
+        return func.id
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in _STREAM_CALLS
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "itertools"
+    ):
+        return func.attr
+    return None
+
+
+def _source_problem(node: ast.AST) -> Optional[tuple[str, str]]:
+    """``(label, hint)`` when ``node`` is an inline raw box source or an
+    itertools stream, else None."""
     if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-        return f"a {type(node).__name__.lower()} literal"
+        return f"a {type(node).__name__.lower()} literal", _RAW_HINT
     if isinstance(node, (ast.ListComp, ast.SetComp)):
-        return "a comprehension"
+        return "a comprehension", _RAW_HINT
     if isinstance(node, ast.GeneratorExp):
-        return "a generator expression"
+        return "a generator expression", _RAW_HINT
     if isinstance(node, ast.Call):
+        stream = _stream_call(node.func)
+        if stream is not None:
+            return f"an itertools {stream}(...)", _STREAM_HINT
         name = _terminal_name(node.func)
         if name in _RAW_SOURCE_CALLS:
-            return f"a {name}(...) call"
+            return f"a {name}(...) call", _RAW_HINT
     return None
 
 
@@ -91,13 +129,14 @@ def _boxes_argument(node: ast.Call, index: int) -> Optional[ast.AST]:
 
 @register_rule
 class ProfileDisciplineRule(LintRule):
-    """Simulator entry points take a SquareProfile, not an inline raw
-    box container."""
+    """Simulator entry points take a SquareProfile or a box source, not
+    an inline raw box container or an itertools chain/cycle."""
 
     rule_id = "profile-discipline"
     summary = (
-        "pass SquareProfile to simulator entry points, not inline "
-        "list/comprehension/iter() box sources"
+        "pass SquareProfile or a repro.profiles.sources box source to "
+        "simulator entry points, not inline list/iter()/chain()/cycle() "
+        "box sources"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
@@ -123,12 +162,9 @@ class ProfileDisciplineRule(LintRule):
             boxes = _boxes_argument(node, index)
             if boxes is None:
                 continue
-            kind = _raw_source_kind(boxes)
-            if kind is not None:
+            problem = _source_problem(boxes)
+            if problem is not None:
+                kind, hint = problem
                 yield self.diag(
-                    ctx,
-                    boxes,
-                    f"{entry}() receives {kind} as its box source; wrap "
-                    "finite box sequences in SquareProfile(...) so the "
-                    "simulator sees a validated, reusable profile",
+                    ctx, boxes, f"{entry}() receives {kind} as its box source; {hint}"
                 )

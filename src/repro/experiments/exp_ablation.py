@@ -25,8 +25,6 @@ per-placement adversary instead and check the gap survives):
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
 import numpy as np
 
 from repro.algorithms.library import MM_SCAN
@@ -35,6 +33,7 @@ from repro.analysis.adaptivity import RatioSeries
 from repro.analysis.smoothing import iid_ratio_trials
 from repro.experiments.common import ExperimentResult, RunArtifact
 from repro.profiles.distributions import UniformPowers
+from repro.profiles.sources import cycled, sampled
 from repro.profiles.worst_case import matched_worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
 from repro.util.rng import spawn
@@ -53,7 +52,7 @@ CLAIM = (
 def _adversary_ratio(spec, n, model, kappa):
     profile = matched_worst_case_profile(spec, n)
     sim = SymbolicSimulator(spec, n, model=model, completion_divisor=kappa)
-    rec = sim.run_to_completion(chain(iter(profile), cycle(profile.boxes.tolist())))
+    rec = sim.run_to_completion(cycled(profile))
     return rec.adaptivity_ratio
 
 
@@ -106,7 +105,7 @@ def run(quick: bool = True, seed: int = 0) -> RunArtifact:
             vals = []
             for g in spawn(seed, trials):
                 sim = SymbolicSimulator(MM_SCAN, n, model=model)
-                vals.append(sim.run_to_completion(dist.sampler(g)).adaptivity_ratio)
+                vals.append(sim.run_to_completion(sampled(dist, g)).adaptivity_ratio)
             iid.append(float(np.mean(vals)))
         wc_series = RatioSeries(tuple(ns), tuple(wc), base=4.0)
         iid_series = RatioSeries(tuple(ns), tuple(iid), base=4.0)

@@ -21,14 +21,11 @@ MM-SCAN fits exactly one.
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
-import numpy as np
-
 from repro.algorithms.library import MM_SCAN
 from repro.analysis.adaptivity import RatioSeries, worst_case_ratio
 from repro.analysis.smoothing import shuffled_worst_case_trials
 from repro.experiments.common import ExperimentResult, RunArtifact
+from repro.profiles.sources import cycled
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.adaptive import run_adaptive
 
@@ -56,9 +53,7 @@ def run(quick: bool = True, seed: int = 0) -> RunArtifact:
     completions = []
     for n in ns:
         profile = worst_case_profile(spec.a, spec.b, n)
-        adaptive = run_adaptive(
-            spec, n, chain(iter(profile), cycle(profile.boxes.tolist()))
-        )
+        adaptive = run_adaptive(spec, n, cycled(profile))
         assert adaptive.completed
         shuffled = shuffled_worst_case_trials(spec, n, trials=trials, rng=seed)
         adaptive_ratios.append(adaptive.adaptivity_ratio)

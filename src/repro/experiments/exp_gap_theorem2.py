@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.algorithms.library import MM_INPLACE, MM_SCAN, SQRT_SCAN
 from repro.analysis.adaptivity import RatioSeries
 from repro.experiments.common import ExperimentResult, RunArtifact
+from repro.profiles.sources import cycled
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
 
@@ -32,12 +33,10 @@ CLAIM = (
 def _ratio_on_worst_case(spec, n: int) -> float:
     """Run ``spec`` against the (8,4) adversary's box stream and return
     the realized adaptivity ratio over the consumed prefix."""
-    from itertools import chain, cycle
-
     profile = worst_case_profile(8, 4, n, spec.base_size)
     sim = SymbolicSimulator(spec, n, model="recursive")
     # Cycle the profile so algorithms that outlast it still finish.
-    rec = sim.run_to_completion(chain(iter(profile), cycle(profile.boxes.tolist())))
+    rec = sim.run_to_completion(cycled(profile))
     return rec.adaptivity_ratio
 
 

@@ -19,8 +19,6 @@ over executions can still win is the remaining open half.)
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
 import numpy as np
 
 from repro.algorithms.library import MM_SCAN
@@ -31,6 +29,7 @@ from repro.algorithms.randomized import (
 )
 from repro.analysis.adaptivity import RatioSeries, worst_case_ratio
 from repro.experiments.common import ExperimentResult, RunArtifact
+from repro.profiles.sources import cycled
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
 from repro.util.rng import fixed_seeds
@@ -63,9 +62,7 @@ def _mean_ratio(spec, n, factory, trials, seed, completion_divisor):
             completion_divisor=completion_divisor,
             scan_randomizer=factory(spec, s),
         )
-        rec = sim.run_to_completion(
-            chain(iter(profile), cycle(profile.boxes.tolist()))
-        )
+        rec = sim.run_to_completion(cycled(profile))
         vals.append(rec.adaptivity_ratio)
     return float(np.mean(vals)), float(np.max(vals))
 

@@ -13,8 +13,6 @@ profiles fluctuate wildly.
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
 import numpy as np
 
 from repro.algorithms.library import MM_SCAN
@@ -25,6 +23,7 @@ from repro.machine.ca_machine import simulate_ca
 from repro.profiles.base import MemoryProfile
 from repro.profiles.generators import random_walk_profile, winner_take_all_profile
 from repro.profiles.reduction import squarify
+from repro.profiles.sources import cycled
 from repro.simulation.symbolic import SymbolicSimulator
 from repro.util.rng import fixed_seeds
 
@@ -74,8 +73,7 @@ def run(quick: bool = True, seed: int = 0) -> RunArtifact:
         row = [n, worst_case_ratio(spec, n)]
         for name, boxes in _profiles_for(n, seed):
             sim = SymbolicSimulator(spec, n, model="recursive")
-            stream = chain(iter(boxes), cycle(boxes.boxes.tolist()))
-            rec = sim.run_to_completion(stream)
+            rec = sim.run_to_completion(cycled(boxes))
             series.setdefault(name, []).append(rec.adaptivity_ratio)
             row.append(rec.adaptivity_ratio)
         rows.append(tuple(row))

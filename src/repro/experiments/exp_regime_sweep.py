@@ -9,8 +9,6 @@ worst-case-style adversary and check each lands in its predicted regime.
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
 from repro.algorithms.library import (
     BINARY_ADAPTIVE,
     LCS,
@@ -23,6 +21,7 @@ from repro.algorithms.library import (
 from repro.algorithms.spec import RegularSpec
 from repro.analysis.adaptivity import RatioSeries
 from repro.experiments.common import ExperimentResult, RunArtifact
+from repro.profiles.sources import cycled
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
 
@@ -41,9 +40,7 @@ def _adversary_ratio(spec: RegularSpec, n: int) -> float:
     (a, b) shape (boxes sized to its scans), cycling if needed."""
     profile = worst_case_profile(spec.a, spec.b, n, spec.base_size)
     sim = SymbolicSimulator(spec, n, model="recursive")
-    rec = sim.run_to_completion(
-        chain(iter(profile), cycle(profile.boxes.tolist()))
-    )
+    rec = sim.run_to_completion(cycled(profile))
     return rec.adaptivity_ratio
 
 

@@ -12,8 +12,6 @@ per-level scan burdens).
 
 from __future__ import annotations
 
-from itertools import chain, cycle
-
 from repro.algorithms.library import MM_SCAN
 from repro.algorithms.scan_hiding import (
     hidden_work_per_leaf,
@@ -22,6 +20,7 @@ from repro.algorithms.scan_hiding import (
 )
 from repro.analysis.adaptivity import RatioSeries, worst_case_ratio
 from repro.experiments.common import ExperimentResult, RunArtifact
+from repro.profiles.sources import cycled
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
 
@@ -47,9 +46,7 @@ def run(quick: bool = True, seed: int = 0) -> RunArtifact:
     for n in ns:
         profile = worst_case_profile(spec.a, spec.b, n, spec.base_size)
         sim = SymbolicSimulator(hidden, n, model="recursive")
-        rec = sim.run_to_completion(
-            chain(iter(profile), cycle(profile.boxes.tolist()))
-        )
+        rec = sim.run_to_completion(cycled(profile))
         hidden_ratios.append(rec.adaptivity_ratio)
         rows.append(
             (

@@ -1,5 +1,6 @@
 """Memory profiles: square profiles, worst-case constructions,
-smoothing perturbations, box-size distributions, and profile generators.
+smoothing perturbations, box-size distributions, profile generators, and
+the chunked box sources the simulator consumes.
 
 See Section 2 of the paper (square profiles, Definition 1), Section 3
 (the worst-case profile of Figure 1), and Section 4 (the smoothings).
@@ -33,6 +34,14 @@ from repro.profiles.perturbations import (
 )
 from repro.profiles.reduction import inscribed_box_at, squarify
 from repro.profiles.runs import BoxRuns
+from repro.profiles.sources import (
+    BoxSource,
+    as_box_source,
+    cycled,
+    order_perturbed,
+    perturbed_limit,
+    sampled,
+)
 from repro.profiles.square import SquareProfile, as_box_iter
 from repro.profiles.worst_case import (
     limit_profile_boxes,
@@ -50,7 +59,13 @@ from repro.profiles.worst_case import (
 __all__ = [
     "MemoryProfile",
     "BoxRuns",
+    "BoxSource",
     "SquareProfile",
+    "as_box_source",
+    "cycled",
+    "sampled",
+    "perturbed_limit",
+    "order_perturbed",
     "as_box_iter",
     "BoxDistribution",
     "PointMass",

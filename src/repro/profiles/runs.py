@@ -18,6 +18,7 @@ ways losslessly.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -87,7 +88,7 @@ class BoxRuns:
             raise ProfileError("box sequence must be one-dimensional")
         if arr.size == 0:
             return BoxRuns([])
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=False)
         starts = np.concatenate(
             ([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1)
         )
@@ -135,8 +136,7 @@ class BoxRuns:
     def iter_boxes(self) -> Iterator[int]:
         """Yield the flat box sequence (the RLE round-trip inverse)."""
         for size, count in self.iter_runs():
-            for _ in range(count):
-                yield size
+            yield from itertools.repeat(size, count)
 
     def __iter__(self) -> Iterator[int]:
         return self.iter_boxes()

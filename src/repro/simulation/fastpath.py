@@ -8,20 +8,27 @@ trial.  Those inputs are massively repetitive — ``M_{a,b}`` emits long
 runs of identical boxes, and a size-``n`` scan absorbs thousands of
 boxes in a row — so this module consumes them *chunked*:
 
-* run-length sources (:class:`~repro.profiles.runs.BoxRuns`, or a
-  :class:`~repro.profiles.square.SquareProfile` whose RLE is short)
-  are fed run by run through the closed-form cursor methods
+* run chunks (:class:`~repro.profiles.runs.BoxRuns`) are fed run by
+  run through the closed-form cursor methods
   :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_simplified_run` /
-  :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_greedy_run`;
-* array sources (sampled boxes, low-repetition profiles) stream scans
+  :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_greedy_run` /
+  :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_recursive_run`;
+* array chunks (sampled boxes, low-repetition profiles) stream scans
   vectorized: one ``cumsum`` + ``searchsorted`` decides how many of the
   next boxes the current scan piece absorbs, instead of one Python
   ``feed`` per box.
 
+Every input is a box source (:mod:`repro.profiles.sources`): a lazy
+sequence of such chunks, of which a profile, a ``BoxRuns`` or an array
+is the one-chunk case.  One feeding loop (:meth:`_ChunkEngine.feed_chunks`)
+consumes them all, pulling the next chunk only when a box is needed, so
+random sources draw exactly the batches the scalar loop draws.
+
 The fast path is *bit-identical* to the scalar loop — same
 :class:`~repro.simulation.symbolic.RunRecord` field by field, including
 ``bounded_potential``, which is re-accumulated box-sequentially with
-``np.add.accumulate`` (a strict left fold, same float rounding as the
+``np.add.accumulate`` in bounded blocks, carrying the running sum into
+the next block (still a strict left fold, same float rounding as the
 scalar ``+=``; ``np.sum``'s pairwise reduction would differ in the last
 ulps).  Equivalence is enforced differentially across specs, models, κ,
 and sources in ``tests/simulation/test_fastpath.py`` and — for the
@@ -30,13 +37,12 @@ randomized/recursive coverage — ``tests/simulation/test_replay.py``.
 Exactness requires box semantics that depend only on the current cursor
 state plus randomness that is *addressable* rather than positional, so
 eligibility (:func:`is_chunkable`) is: any of the three models (the
-``recursive`` model batches via
-:meth:`~repro.algorithms.cursor.ExecutionCursor.feed_recursive_run`,
-whose exact-fit sibling regime covers the canonical worst-case profile),
-a static or addressable scan placement (closed forms skip whole sibling
-subtrees without entering them — a legacy positional randomizer would
+``recursive`` model batches via ``feed_recursive_run``, whose exact-fit
+sibling regime covers the canonical worst-case profile), a static or
+addressable scan placement (closed forms skip whole sibling subtrees
+without entering them — a legacy positional randomizer would
 desynchronize, while an addressable placement draws by node index and
-cannot), and an indexable box source (generators may be stateful and
+cannot), and a box source (an arbitrary iterable may be stateful and
 must be pulled one box at a time).  Everything else falls back to the
 scalar path; see ``docs/PERF.md`` for the selection rules and measured
 speedups.
@@ -44,13 +50,14 @@ speedups.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.profiles.distributions import BoxDistribution
 from repro.profiles.runs import BoxRuns
+from repro.profiles.sources import BoxSource, Chunk, as_box_source, sampled
 from repro.profiles.square import SquareProfile
 from repro.runtime.instrumentation import record as _record
 from repro.simulation.symbolic import MODELS, RunRecord, SymbolicSimulator
@@ -70,6 +77,10 @@ __all__ = [
 # batch size irrelevant by construction).
 CHUNK = 4096
 
+# Boxes per bounded_potential fold: bounds the per-box float buffer, so
+# a million-box run holds no more of it than a 64k-box one.
+_FOLD = 1 << 16
+
 _FAST_MODELS = MODELS
 
 
@@ -86,38 +97,16 @@ def is_chunkable(sim: SymbolicSimulator, boxes: object = None) -> bool:
     """
     if sim.model not in _FAST_MODELS or not _static_or_addressable(sim):
         return False
-    if boxes is None or isinstance(boxes, (SquareProfile, BoxRuns)):
-        return True
-    if isinstance(boxes, np.ndarray):
-        return boxes.ndim == 1 and bool(np.issubdtype(boxes.dtype, np.integer))
-    return False
-
-
-def _as_box_array(boxes: object) -> np.ndarray:
-    arr = np.asarray(boxes)
-    if arr.ndim != 1:
-        raise SimulationError("box array must be one-dimensional")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise SimulationError("box array must have an integer dtype")
-    return arr.astype(np.int64, copy=False)
-
-
-def _prefers_runs(arr: np.ndarray) -> bool:
-    """Run path when the RLE is at least 2x shorter than the flat array
-    (below that, the vectorized scan streaming of the array path wins)."""
-    if arr.size < 2:
-        return True
-    nruns = 1 + int(np.count_nonzero(arr[1:] != arr[:-1]))
-    return 2 * nruns <= int(arr.size)
+    return boxes is None or as_box_source(boxes) is not None
 
 
 class _ChunkEngine:
     """Shared accumulator behind the chunked drivers.
 
     Mirrors the aggregate accounting of the scalar loop in
-    ``SymbolicSimulator.run`` exactly; ``bounded_potential`` is
-    reconstructed from the consumed boxes in :meth:`finish` with the same
-    box-sequential float accumulation the scalar loop performs.
+    ``SymbolicSimulator.run`` exactly; ``bounded_potential`` is folded
+    from the consumed boxes, in order, with the same box-sequential float
+    accumulation the scalar loop performs.
     """
 
     __slots__ = (
@@ -131,9 +120,12 @@ class _ChunkEngine:
         "leaves",
         "scans",
         "time_used",
+        "_potential",
+        "_pending",
+        "_pending_boxes",
         "_run_sizes",
         "_run_counts",
-        "_chunks",
+        "_pows",
     )
 
     def __init__(
@@ -152,11 +144,41 @@ class _ChunkEngine:
         self.leaves = 0
         self.scans = 0
         self.time_used = 0
+        self._potential = 0.0
+        # per-box potential terms consumed but not yet folded, in order;
+        # the trailing runs wait in _run_sizes/_run_counts unexpanded
+        self._pending: list[np.ndarray] = []
+        self._pending_boxes = 0
         self._run_sizes: list[int] = []
         self._run_counts: list[int] = []
-        self._chunks: list[np.ndarray] = []
+        self._pows: dict[int, float] = {}
 
     # -- feeding -------------------------------------------------------
+    def stopped(self) -> bool:
+        """True once the execution completed or the box budget ran out."""
+        return self.sim.cursor.is_done or (
+            self.max_boxes is not None and self.boxes_used >= self.max_boxes
+        )
+
+    def feed_chunks(self, chunks: Iterator[Chunk]) -> None:
+        """Feed chunks until the execution completes, the box budget runs
+        out, or the source ends.
+
+        The next chunk is pulled only when another box is needed — where
+        the scalar loop would pull its next box — so a random source
+        draws exactly the batches the scalar path draws.
+        """
+        while not self.stopped():
+            chunk = next(chunks, None)
+            if chunk is None:
+                return
+            if isinstance(chunk, BoxRuns):
+                for s, count in chunk.iter_runs():
+                    if self.feed_run(s, count) < count:
+                        break
+            else:
+                self.feed_array(chunk)
+
     def feed_run(self, s: int, count: int) -> int:
         """Feed up to ``count`` boxes of size ``s``; returns the number
         consumed (less than ``count`` only when the execution completed
@@ -196,8 +218,7 @@ class _ChunkEngine:
         self.boxes_used += consumed
         self.time_used += s * consumed
         if self.need_potential and consumed:
-            self._run_sizes.append(s)
-            self._run_counts.append(consumed)
+            self._note_run(s, consumed)
         return consumed
 
     def feed_array(self, arr: np.ndarray) -> int:
@@ -296,48 +317,66 @@ class _ChunkEngine:
             self.time_used += s
             i += 1
         if self.need_potential and i:
-            self._chunks.append(arr[:i])
+            self._note_array(arr[:i])
         return i
 
     # -- accounting ----------------------------------------------------
-    def _bounded_potential(self) -> float:
-        if self._run_sizes and self._chunks:
-            raise SimulationError(
-                "engine consumed both run and array sources; potential "
-                "order is ambiguous"
-            )
-        n = self.sim.n
-        exponent = self.sim.spec.exponent
+    def _pow(self, s: int) -> float:
+        """The scalar loop's per-box term ``float(min(s, n)) ** e``, as
+        the same Python float ``pow`` (cached per size)."""
+        p = self._pows.get(s)
+        if p is None:
+            p = float(min(s, self.sim.n)) ** self.sim.spec.exponent
+            self._pows[s] = p
+        return p
+
+    def _note_run(self, s: int, count: int) -> None:
+        while count:
+            room = _FOLD - self._pending_boxes
+            take = count if count < room else room
+            self._run_sizes.append(s)
+            self._run_counts.append(take)
+            self._pending_boxes += take
+            count -= take
+            if take == room:
+                self._fold()
+
+    def _close_runs(self) -> None:
         if self._run_sizes:
-            run_sizes = np.asarray(self._run_sizes, dtype=np.int64)
-            run_counts = np.asarray(self._run_counts, dtype=np.int64)
-            uniq, inv = np.unique(run_sizes, return_inverse=True)
             pows = np.asarray(
-                [float(min(u, n)) ** exponent for u in uniq.tolist()],
-                dtype=np.float64,
+                [self._pow(s) for s in self._run_sizes], dtype=np.float64
             )
-            per_box = np.repeat(pows[inv], run_counts)
-        elif self._chunks:
-            consumed = (
-                self._chunks[0]
-                if len(self._chunks) == 1
-                else np.concatenate(self._chunks)
-            )
-            clipped = np.minimum(consumed, n)
-            uniq, inv = np.unique(clipped, return_inverse=True)
+            self._pending.append(np.repeat(pows, self._run_counts))
+            self._run_sizes = []
+            self._run_counts = []
+
+    def _note_array(self, boxes: np.ndarray) -> None:
+        self._close_runs()
+        for lo in range(0, int(boxes.size), _FOLD):
+            block = np.minimum(boxes[lo : lo + _FOLD], self.sim.n)
+            uniq, inv = np.unique(block, return_inverse=True)
             pows = np.asarray(
-                [float(u) ** exponent for u in uniq.tolist()],
-                dtype=np.float64,
+                [self._pow(u) for u in uniq.tolist()], dtype=np.float64
             )
-            per_box = pows[inv]
-        else:
-            return 0.0
-        if per_box.size == 0:
-            return 0.0
-        # np.add.accumulate folds strictly left to right, reproducing the
-        # scalar loop's per-box `bp += float(min(s, n)) ** exponent`
-        # rounding; np.sum's pairwise reduction would not.
-        return float(np.add.accumulate(per_box)[-1])
+            self._pending.append(pows[inv])
+            self._pending_boxes += int(block.size)
+            if self._pending_boxes >= _FOLD:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending terms into the running potential.
+
+        ``np.add.accumulate`` over ``[potential, term, ...]`` adds
+        strictly left to right, so folding block by block reproduces the
+        scalar loop's per-box ``bp += float(min(s, n)) ** exponent``
+        rounding exactly; ``np.sum``'s pairwise reduction would not.
+        """
+        self._close_runs()
+        if self._pending:
+            terms = np.concatenate(([self._potential], *self._pending))
+            self._potential = float(np.add.accumulate(terms)[-1])
+            self._pending = []
+            self._pending_boxes = 0
 
     def finish(self) -> RunRecord:
         """Close the run: record the same instrumentation counters as the
@@ -346,6 +385,7 @@ class _ChunkEngine:
             raise SimulationError(
                 "engine was created without potential tracking"
             )
+        self._fold()
         sim = self.sim
         _record("sim.runs")
         _record("sim.boxes", self.boxes_used)
@@ -357,49 +397,35 @@ class _ChunkEngine:
             leaves_done=self.leaves,
             scan_accesses=self.scans,
             time_used=self.time_used,
-            bounded_potential=self._bounded_potential(),
+            bounded_potential=self._potential,
             completed=sim.cursor.is_done,
         )
 
 
-def _drive_runs(eng: _ChunkEngine, runs: Iterable[tuple[int, int]]) -> None:
-    for s, count in runs:
-        if eng.feed_run(s, count) < count:
-            break
-
-
 def run_chunked(
     sim: SymbolicSimulator,
-    boxes: "SquareProfile | BoxRuns | np.ndarray",
+    boxes: "BoxSource | SquareProfile | BoxRuns | np.ndarray",
     max_boxes: Optional[int] = None,
 ) -> RunRecord:
     """Chunked equivalent of ``sim.run(boxes, max_boxes=...)``.
 
-    Selects the run path (closed-form ``feed_*_run``) for
-    :class:`BoxRuns` and highly repetitive profiles, the array path
-    (vectorized scan streaming) otherwise.  Raises
-    :class:`SimulationError` when the combination is not eligible
-    (:func:`is_chunkable`); :meth:`SymbolicSimulator.run` only routes
-    here when it is, so the scalar fallback stays transparent.
+    ``boxes`` is any box source (:func:`repro.profiles.sources.as_box_source`):
+    run chunks take the closed-form ``feed_*_run`` path, array chunks the
+    vectorized scan streaming.  Raises :class:`SimulationError` when the
+    combination is not eligible (:func:`is_chunkable`);
+    :meth:`SymbolicSimulator.run` only routes here when it is, so the
+    scalar fallback stays transparent.
     """
-    if not is_chunkable(sim, boxes):
+    source = as_box_source(boxes)
+    if source is None or not is_chunkable(sim):
         raise SimulationError(
             "chunked fast path requires a static or addressable scan "
-            "placement and an indexable box source (SquareProfile, "
+            "placement and a box source (BoxSource, SquareProfile, "
             "BoxRuns, or 1-d integer ndarray); got "
             f"model={sim.model!r}, source={type(boxes).__name__}"
         )
     eng = _ChunkEngine(sim, max_boxes=max_boxes)
-    if isinstance(boxes, BoxRuns):
-        _drive_runs(eng, boxes.iter_runs())
-    elif isinstance(boxes, SquareProfile):
-        arr = boxes.boxes
-        if _prefers_runs(arr):
-            _drive_runs(eng, boxes.runs().iter_runs())
-        else:
-            eng.feed_array(arr)
-    else:
-        eng.feed_array(_as_box_array(boxes))
+    eng.feed_chunks(source.chunks())
     return eng.finish()
 
 
@@ -421,7 +447,8 @@ def run_sampled(
     as :meth:`BoxDistribution.sampler` draws internally — so the RNG
     stream and every consumed box are bit-identical to the scalar path;
     the unread tail of the final batch is discarded exactly as an
-    abandoned sampler generator would discard it.
+    abandoned sampler generator would discard it.  The boxes come from
+    :func:`repro.profiles.sources.sampled`.
     """
     if not is_chunkable(sim):
         raise SimulationError(
@@ -429,26 +456,14 @@ def run_sampled(
             f"placement; got model={sim.model!r}"
         )
     eng = _ChunkEngine(sim, max_boxes=max_boxes)
-    cursor = sim.cursor
-    if isinstance(rng, ReplayableStream):
-        pos = 0
-        while not cursor.is_done:
-            if max_boxes is not None and eng.boxes_used >= max_boxes:
-                break
-            eng.feed_array(dist.sample_at(pos, pos + chunk, rng))
-            pos += chunk
-        return eng.finish()
-    while not cursor.is_done:
-        if max_boxes is not None and eng.boxes_used >= max_boxes:
-            break
-        eng.feed_array(dist.sample(chunk, rng))
+    eng.feed_chunks(sampled(dist, rng, batch=chunk).chunks())
     return eng.finish()
 
 
 def run_repeated_chunked(
     spec,
     n: int,
-    boxes: "SquareProfile | BoxRuns | np.ndarray",
+    boxes: "BoxSource | SquareProfile | BoxRuns | np.ndarray",
     model: str = "simplified",
     max_completions: Optional[int] = None,
 ):
@@ -457,94 +472,56 @@ def run_repeated_chunked(
     Same back-to-back semantics: a box is consumed entirely by the
     execution it is fed to, and a fresh execution starts on the next box.
     The closed forms stop exactly at a completion boundary, so the batch
-    driver resets and resumes mid-run without splitting any box.
+    loop resets and resumes mid-chunk without splitting any box.
     """
     from repro.simulation.runner import RepeatedRunRecord
 
     sim = SymbolicSimulator(spec, n, model=model)
-    if not is_chunkable(sim, boxes):
+    source = as_box_source(boxes)
+    if source is None or not is_chunkable(sim):
         raise SimulationError(
-            "chunked repeated runs require an indexable box source; got "
+            "chunked repeated runs require a box source; got "
             f"model={model!r}, source={type(boxes).__name__}"
         )
+    eng = _ChunkEngine(sim, need_potential=False)
     completions = 0
-    partial_leaves = 0
-    boxes_used = 0
-    time_used = 0
-    stopped = False
+    leaves_before = 0  # eng.leaves when the current execution started
 
-    use_runs = isinstance(boxes, BoxRuns) or (
-        isinstance(boxes, SquareProfile) and _prefers_runs(boxes.boxes)
-    )
-    if use_runs:
-        runs = (
-            boxes.iter_runs()
-            if isinstance(boxes, BoxRuns)
-            else boxes.runs().iter_runs()
-        )
-        greedy = model == "greedy"
-        recursive = model == "recursive"
-        for s, count in runs:
-            remaining = count
-            while remaining:
-                if greedy:
-                    got, lv, _ = sim.cursor.feed_greedy_run(s, remaining)
-                elif recursive:
-                    got, lv, _ = sim.cursor.feed_recursive_run(
-                        s, remaining, sim.completion_divisor
-                    )
-                else:
-                    got, lv, _ = sim.cursor.feed_simplified_run(
-                        s, remaining, sim.completion_divisor
-                    )
-                remaining -= got
-                boxes_used += got
-                time_used += s * got
-                partial_leaves += lv
-                if sim.is_done:
-                    completions += 1
-                    partial_leaves = 0
-                    if (
-                        max_completions is not None
-                        and completions >= max_completions
-                    ):
-                        stopped = True
-                        break
-                    sim.reset()
-            if stopped:
-                break
-    else:
-        arr = (
-            boxes.boxes
-            if isinstance(boxes, SquareProfile)
-            else _as_box_array(boxes)
-        )
-        size = int(arr.size)
-        i = 0
-        while i < size:
-            eng = _ChunkEngine(sim, need_potential=False)
-            got = eng.feed_array(arr[i:])
-            i += got
-            boxes_used += got
-            time_used += eng.time_used
-            partial_leaves += eng.leaves
-            if sim.is_done:
-                completions += 1
-                partial_leaves = 0
-                if (
-                    max_completions is not None
-                    and completions >= max_completions
-                ):
+    def completed() -> bool:
+        """Count a finished execution and start the next; True when
+        ``max_completions`` says to stop."""
+        nonlocal completions, leaves_before
+        completions += 1
+        leaves_before = eng.leaves
+        if max_completions is not None and completions >= max_completions:
+            return True
+        sim.reset()
+        return False
+
+    stop = False
+    for chunk in source.chunks():
+        if isinstance(chunk, BoxRuns):
+            for s, count in chunk.iter_runs():
+                while count and not stop:
+                    count -= eng.feed_run(s, count)
+                    if sim.is_done:
+                        stop = completed()
+                if stop:
                     break
-                sim.reset()
-            elif got == 0:
-                break  # defensive: empty tail cannot make progress
+        else:
+            i = 0
+            while i < chunk.size and not stop:
+                i += eng.feed_array(chunk[i:])
+                if sim.is_done:
+                    stop = completed()
+        if stop:
+            break
     return RepeatedRunRecord(
         spec=spec,
         n=n,
         model=model,
         completions=completions,
-        partial_leaves=partial_leaves,
-        boxes_used=boxes_used,
-        time_used=time_used,
+        partial_leaves=eng.leaves - leaves_before,
+        boxes_used=eng.boxes_used,
+        time_used=eng.time_used,
     )

@@ -172,10 +172,12 @@ class SymbolicSimulator:
         ``fastpath`` selects the chunked engine of
         :mod:`repro.simulation.fastpath`: ``None`` (default) uses it
         automatically whenever it is bit-identical to the scalar loop
-        (any model, static or addressable scan placement, indexable box
-        source, no per-box recording), ``False`` forces the scalar loop,
-        and ``True`` requires the fast path (raising if ineligible).
-        Either way the returned record is the same field for field.
+        (any model, static or addressable scan placement, a box source
+        from :mod:`repro.profiles.sources` or a profile, ``BoxRuns`` or
+        integer array, no per-box recording), ``False`` forces the scalar
+        loop over the same flat box sequence, and ``True`` requires the
+        fast path (raising if ineligible).  Either way the returned
+        record is the same field for field.
         """
         if fastpath is None or fastpath:
             from repro.simulation.fastpath import is_chunkable, run_chunked

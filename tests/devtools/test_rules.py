@@ -558,6 +558,54 @@ class TestProfileDiscipline:
         )
         assert rule_ids(diags) == ["profile-discipline"]
 
+    def test_bare_chain_of_cycle_fires(self):
+        diags = lint(
+            """
+            from itertools import chain, cycle
+
+            sim.run_to_completion(chain(iter(profile), cycle(profile.boxes.tolist())))
+            """,
+            rules=["profile-discipline"],
+        )
+        assert rule_ids(diags) == ["profile-discipline"]
+        message = diags[0].message
+        assert "chain(...)" in message
+        for constructor in ("cycled", "sampled", "perturbed_limit", "order_perturbed"):
+            assert constructor in message
+
+    def test_itertools_cycle_and_chain_fire(self):
+        diags = lint(
+            """
+            import itertools
+
+            run_adaptive(spec, 64, itertools.cycle(boxes))
+            sim.run(itertools.chain(iter(shuffled), empirical.sampler(g)))
+            run_boxes(spec, 64, boxes=itertools.chain(head, tail))
+            """,
+            rules=["profile-discipline"],
+        )
+        assert rule_ids(diags) == ["profile-discipline"] * 3
+        assert "cycle(...)" in diags[0].message
+
+    def test_box_source_constructors_quiet(self):
+        diags = lint(
+            """
+            sim.run_to_completion(cycled(profile))
+            sim.run(sampled(dist, g, head=g.permutation(base.boxes)))
+            run_adaptive(spec, 64, cycled(profile, first=shifted))
+            run_boxes(spec, 64, order_perturbed(8, 4, 64, rng=g))
+            """,
+            rules=["profile-discipline"],
+        )
+        assert diags == []
+
+    def test_chain_method_on_other_receiver_quiet(self):
+        diags = lint(
+            "sim.run(profiles.chain(first, second))\n",
+            rules=["profile-discipline"],
+        )
+        assert diags == []
+
 
 # ------------------------------------------------------------ rng-discipline
 SIM = "src/repro/simulation/mod.py"  # inside the replay-critical layers

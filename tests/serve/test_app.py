@@ -271,15 +271,18 @@ class TestCoalescingAndAdmission:
 
 
 class TestDrain:
-    def test_drain_waits_for_inflight_work(self):
+    def test_drain_waits_for_inflight_work(self, wait_until):
         async def go():
             app = make_app()
             gate = asyncio.Event()
             calls = []
             gated_dispatcher(app, gate, calls)
             task = asyncio.create_task(app.handle(get("/v1/run/fig1")))
-            while len(app.coalescer) == 0:
-                await asyncio.sleep(0)
+            await wait_until(
+                lambda: len(app.coalescer) > 0 or task.done(),
+                "the request to reach the coalescer",
+            )
+            assert not task.done(), "request finished before the coalescer"
             drainer = asyncio.create_task(app.drain())
             await asyncio.sleep(0)
             assert app.draining and not drainer.done()
@@ -340,7 +343,7 @@ class TestOverSocket:
 
         asyncio.run(go())
 
-    def test_drain_lets_inflight_response_finish(self):
+    def test_drain_lets_inflight_response_finish(self, wait_until):
         # The coalescer future resolves before the handler writes the
         # response; drain must also await the open connection tasks, or
         # shutdown truncates responses whose computation already ran.
@@ -355,8 +358,10 @@ class TestOverSocket:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
                 writer.write(b"GET /v1/run/fig1 HTTP/1.1\r\n\r\n")
                 await writer.drain()
-                while len(app.coalescer) == 0:
-                    await asyncio.sleep(0)
+                await wait_until(
+                    lambda: len(app.coalescer) > 0,
+                    "the request to reach the coalescer",
+                )
                 # stop accepting, but don't wait_closed here: on 3.12+
                 # it waits for handlers, which wait for the gate
                 server.close()

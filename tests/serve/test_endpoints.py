@@ -86,7 +86,7 @@ class TestRunAll:
         response = handle(app, get("/v1/run-all"))
         assert response.status == 503
 
-    def test_batch_shares_admission_control(self, tmp_path):
+    def test_batch_shares_admission_control(self, tmp_path, wait_until):
         # max_inflight=1: a batch of two cold keys cannot jump the
         # queue — one leg computes, the other surfaces as a 429 entry.
         # The store must be empty or warm hits bypass admission control
@@ -114,8 +114,13 @@ class TestRunAll:
             task = asyncio.create_task(
                 app.handle(get("/v1/run-all", {"experiments": "fig1,lemma1"}))
             )
-            while len(app.coalescer) == 0:
-                await asyncio.sleep(0)
+            # Each leg reaches admission only after its fingerprint and
+            # store probe; hold the admitted leg in flight until the other
+            # leg has been refused, whichever order they arrive in.
+            await wait_until(
+                lambda: app.stats.rejected == 1 or task.done(),
+                "the second leg's admission refusal",
+            )
             gate.set()
             return await task
 

@@ -7,14 +7,14 @@ tables are printed (use ``-s`` to see them) and the reproduction verdict
 is asserted, so this bench doubles as the paper-claim regression gate.
 """
 
-from repro.runtime import run_one
+from repro.api import run
 
 
 def test_randomized_algorithm(benchmark):
     result = benchmark.pedantic(
-        run_one,
+        run,
         args=("randomized",),
-        kwargs={"quick": True, "seed": 0},
+        kwargs={"quick": True, "seed": 0, "cache": "off"},
         iterations=1,
         rounds=1,
     )

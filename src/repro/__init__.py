@@ -146,17 +146,4 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         from repro import runtime
 
         return getattr(runtime, name)
-    if name == "run_one":
-        import warnings
-
-        from repro import runtime
-
-        warnings.warn(
-            "top-level repro.run_one is deprecated; use repro.api.run, or "
-            "repro.api.execute with a repro.api.RunRequest for the typed "
-            "v2 response (docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return runtime.run_one
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -21,11 +21,7 @@ canonical request object:
 * :class:`Cache` — the content-addressed artifact store.
 
 ``__all__`` below is the enumerated stability contract, mirrored (with
-the serve endpoints) in ``docs/API.md``.  The legacy entry points the
-façade replaced (``repro.experiments.registry.run_experiment``,
-``repro.experiments.registry.run_all``, top-level ``repro.run_one``)
-still work but emit :class:`DeprecationWarning` and route through the
-same :class:`RunRequest` path.
+the serve endpoints) in ``docs/API.md``.
 """
 
 from __future__ import annotations

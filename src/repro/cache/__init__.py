@@ -11,7 +11,7 @@ layers:
 * :mod:`~repro.cache.store` — the on-disk, content-addressed
   :class:`Cache` of artifacts keyed by ``(experiment id, quick, seed,
   code fingerprint, environment)``, consumed by
-  ``run_one(..., cache="auto")``;
+  ``execute(RunRequest(..., cache="auto"))``;
 * :mod:`~repro.cache.memo` — in-process keyed-LRU memoization (with
   ``cache_info()``) for hot pure kernels
   (:func:`~repro.analysis.recurrence.solve_recurrence`,

@@ -76,6 +76,7 @@ __all__ = [
     "buffered_access_records",
     "iter_debris",
     "iter_lock_files",
+    "prune_empty_shards",
     "collect",
     "auto_collect",
     "read_gc_state",
@@ -454,69 +455,60 @@ class _Inventory:
 
 def iter_debris(root: Path) -> Iterator[Path]:
     """Every ``.tmp-*`` file under the store (root level for state/
-    history writes, both shard depths for entry/sidecar writes — the
-    sharded ``ab/cd/`` layout plus the legacy one-level one).  The
-    hidden prefix is why the plain ``*``-globs elsewhere never see
+    history writes, the ``ab/cd/`` shards for entry/sidecar writes).
+    The hidden prefix is why the plain ``*``-globs elsewhere never see
     these."""
     if not root.is_dir():
         return
-    yield from sorted(
-        chain(
-            root.glob(".tmp-*"),
-            root.glob("*/.tmp-*"),
-            root.glob("*/*/.tmp-*"),
-        )
-    )
+    yield from sorted(chain(root.glob(".tmp-*"), root.glob("*/*/.tmp-*")))
 
 
 def iter_lock_files(root: Path) -> Iterator[Path]:
-    """Every per-entry ``.lock-*`` file under the store, at every layout
-    depth.  Lock files are never unlinked by their holders (see
+    """Every per-entry ``.lock-*`` file in the store's shards.  Lock
+    files are never unlinked by their holders (see
     :mod:`repro.cache.lock`), so the GC owns their whole reap path."""
     if not root.is_dir():
         return
-    yield from sorted(
-        chain(root.glob("*/.lock-*"), root.glob("*/*/.lock-*"))
-    )
+    yield from sorted(root.glob("*/*/.lock-*"))
+
+
+def prune_empty_shards(root: Path) -> None:
+    """Remove the store's empty shard directories, ``ab/cd/`` before
+    ``ab/``.  ``rmdir`` only succeeds on an empty directory, so this
+    never removes a file; a racing ``put`` recreates its shard
+    (:func:`repro.cache.lock.ensure_directory`)."""
+    for shard in sorted(root.glob("*/*"), reverse=True) + sorted(
+        root.glob("*"), reverse=True
+    ):
+        if shard.is_dir():
+            try:
+                shard.rmdir()
+            except OSError:
+                pass
 
 
 def _iter_orphan_sidecars(root: Path) -> Iterator[Path]:
     """Sidecars whose entry is gone (evicted/cleared by an older build,
-    or the entry write failed after the sidecar landed), at every
-    layout depth the store has ever used."""
+    or the entry write failed after the sidecar landed)."""
     if not root.is_dir():
         return
-    for sidecar in sorted(
-        chain(
-            root.glob(".meta-*.json"),
-            root.glob("*/.meta-*.json"),
-            root.glob("*/*/.meta-*.json"),
-        )
-    ):
+    for sidecar in sorted(root.glob("*/*/.meta-*.json")):
         entry = sidecar.parent / sidecar.name[len(".meta-"):]
         if not entry.exists():
             yield sidecar
 
 
 def _iter_orphan_locks(root: Path) -> Iterator[Path]:
-    """Lock files guarding a digest with no entry at any layout depth —
-    left behind by evictions or clears.  Candidates only: the reap
-    itself must still win the non-blocking acquire
-    (:func:`repro.cache.lock.try_reap_lock`), so a lock protecting a
-    put in flight is never considered orphaned twice."""
+    """Lock files whose entry is gone — left behind by evictions or
+    clears.  Candidates only: the reap itself must still win the
+    non-blocking acquire (:func:`repro.cache.lock.try_reap_lock`), so a
+    lock protecting a put in flight is never considered orphaned
+    twice."""
     from repro.cache.lock import LOCK_PREFIX
 
     for lock_file in iter_lock_files(root):
-        entry_name = lock_file.name[len(LOCK_PREFIX):]
-        digest = entry_name[:-5] if entry_name.endswith(".json") else entry_name
-        if (lock_file.parent / entry_name).exists():
-            continue
-        # The canonical location may differ from the lock's directory
-        # only for legacy-layout locks, which this build never writes;
-        # still, check the sharded spot before declaring orphanhood.
-        if (root / digest[:2] / digest[2:4] / entry_name).exists():
-            continue
-        yield lock_file
+        if not (lock_file.parent / lock_file.name[len(LOCK_PREFIX):]).exists():
+            yield lock_file
 
 
 def _unlink_counted(path: Path) -> int:
@@ -653,10 +645,8 @@ def collect(
     evicted_bytes = 0
     for item, reason in victims:
         if not dry_run:
-            # Entry + sidecar go as one locked critical section (the
-            # lock is keyed by the digest's canonical path, so it also
-            # serializes against puts of a legacy-layout entry).
-            with entry_lock(cache.canonical_path(item.digest)):
+            # Entry + sidecar go as one locked critical section.
+            with entry_lock(item.path):
                 size = _unlink_counted(item.path)
                 if size < 0:
                     continue  # a concurrent clear/gc got there first
@@ -679,14 +669,7 @@ def collect(
         # make the debris counters depend on locking history.
         for lock_file in _iter_orphan_locks(root):
             try_reap_lock(lock_file)
-        for shard in sorted(root.glob("*/*"), reverse=True) + sorted(
-            root.glob("*"), reverse=True
-        ):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
+        prune_empty_shards(root)
 
     report = GCReport(
         root=root,

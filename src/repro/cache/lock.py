@@ -6,8 +6,8 @@ CI jobs, a GC pass racing live puts) needs the *pair* of files that make
 up one entry — the payload and its ``.meta-*`` access sidecar — to move
 together.  This module provides that critical section: a hidden
 ``.lock-<digest>.json`` file next to the entry's canonical location,
-held via ``fcntl.flock`` for the duration of a put, a discard, an
-eviction, or a layout migration.
+held via ``fcntl.flock`` for the duration of a put, a discard, or an
+eviction.
 
 Design notes:
 
@@ -83,10 +83,8 @@ def ensure_directory(directory: Path) -> None:
 
 
 def lock_path_for(entry_path: Path) -> Path:
-    """The lock file guarding ``entry_path``'s digest.
-
-    Lives next to the entry (callers pass the *canonical* entry path, so
-    legacy-layout duplicates of the same digest share one lock)."""
+    """The lock file guarding ``entry_path``'s digest; it lives next to
+    the entry."""
     return entry_path.parent / f"{LOCK_PREFIX}{entry_path.name}"
 
 

@@ -16,11 +16,9 @@ under a per-entry advisory lock (:mod:`repro.cache.lock`) so the entry
 and its sidecar move together even with many concurrent writers — the
 regime the ``repro serve`` daemon lives in.  The two-level fan-out
 bounds directory width at 256 either level, which keeps shard scans flat
-for stores holding hundreds of thousands of entries.  Entries written by
-older builds into the *legacy* layouts (``<digest[:2]>/<digest>.json``
-or a completely flat ``<digest>.json``) stay readable: ``get`` finds
-them, migrates them into the sharded location on first touch, and
-:meth:`Cache.migrate` relocates a whole store in one pass.
+for stores holding hundreds of thousands of entries.  It is the only
+layout: any other file under the root is foreign, and the store never
+reads, counts, evicts, or removes it.
 
 Corrupt or unreadable entries are treated as misses, never as errors: a
 cache must degrade to recomputation, not take the run down with it.
@@ -93,9 +91,8 @@ class CacheKey:
     """Complete identity of one experiment run for caching purposes.
 
     ``rng_scheme`` names the random-number addressing scheme the run's
-    draws came from (:data:`repro.util.rng.RNG_SCHEME`); entries written
-    before the field existed load as ``"positional-v1"``, so they can
-    never satisfy a key built by a counter-addressed build."""
+    draws came from (:data:`repro.util.rng.RNG_SCHEME`), so an entry
+    can never satisfy a key built under a different scheme."""
 
     experiment_id: str
     quick: bool
@@ -125,7 +122,7 @@ class CacheKey:
                 seed=payload["seed"],
                 fingerprint=payload["fingerprint"],
                 schema_version=payload["schema_version"],
-                rng_scheme=payload.get("rng_scheme", "positional-v1"),
+                rng_scheme=payload["rng_scheme"],
                 environment=payload["environment"],
             )
         except (KeyError, TypeError) as exc:
@@ -159,9 +156,7 @@ class CacheStats:
     ``tmp_files``/``tmp_bytes`` count orphaned ``.tmp-*`` write debris
     (invisible to the entry globs, reaped by :meth:`Cache.gc`); ``gc``
     carries the cumulative collection counters from ``.gc-state.json``,
-    or ``None`` when no collection has ever run on this store.
-    ``legacy_entries`` counts entries still sitting in a pre-sharding
-    layout (relocated lazily by ``get`` or in bulk by ``migrate``)."""
+    or ``None`` when no collection has ever run on this store."""
 
     root: Path
     entries: int
@@ -171,7 +166,6 @@ class CacheStats:
     tmp_files: int = 0
     tmp_bytes: int = 0
     gc: dict[str, Any] | None = None
-    legacy_entries: int = 0
 
 
 def cache_key_for(
@@ -229,7 +223,7 @@ class Cache:
 
     ``root=None`` resolves via :func:`default_cache_dir`.  All methods
     are safe on a store that does not exist yet; ``put`` creates it.
-    Writes (``put``, eviction, migration, corrupt-entry discard) hold
+    Writes (``put``, eviction, corrupt-entry discard) hold
     the entry's advisory lock so concurrent writers — pool workers, the
     serve daemon, a GC pass — can share one store (``docs/CACHE.md``).
     """
@@ -248,41 +242,15 @@ class Cache:
         ``<root>/<digest[:2]>/<digest[2:4]>/<digest>.json``."""
         return self.root / digest[:2] / digest[2:4] / f"{digest}.json"
 
-    def legacy_paths(self, digest: str) -> tuple[Path, ...]:
-        """Where older builds may have written ``digest``: the one-level
-        PR-3 layout, then a completely flat store."""
-        return (
-            self.root / digest[:2] / f"{digest}.json",
-            self.root / f"{digest}.json",
-        )
-
     # -- read ----------------------------------------------------------
     def get(self, key: CacheKey) -> CacheEntry | None:
         """The stored entry for ``key``, or ``None`` on miss.
 
         A corrupt, unparsable, or mismatched entry is a miss (and is
-        unlinked so it cannot shadow a future put).  An entry found in a
-        legacy (pre-sharding) location is migrated into the sharded
-        layout before being returned.
-
-        All of that stays true on a store ``get`` cannot write to (a
-        read-only mount, e.g. a shared CI cache): migration and discard
-        are best-effort, and a legacy entry that cannot be relocated is
-        simply served from where it sits — never an error."""
-        path = self.canonical_path(key.digest)
-        entry = self._load(path)
-        if entry is None:
-            for legacy in self.legacy_paths(key.digest):
-                if legacy.exists():
-                    try:
-                        self._migrate_entry(legacy)
-                    except OSError:
-                        # Migration needs to create the shard directory
-                        # and a lock file; on a read-only store neither
-                        # is possible.  Read the entry where it lies.
-                        pass
-                    entry = self._load(path) or self._load(legacy)
-                    break
+        unlinked so it cannot shadow a future put).  That stays true on
+        a store ``get`` cannot write to (a read-only mount, e.g. a
+        shared CI cache): the discard is best-effort, never an error."""
+        entry = self._load(self.canonical_path(key.digest))
         if entry is None:
             return None
         if entry.key != key:  # hash collision or tampering: distrust it
@@ -331,7 +299,7 @@ class Cache:
         from repro.cache.gc import sidecar_path
 
         try:
-            with entry_lock(self.canonical_path(path.stem)):
+            with entry_lock(path):
                 for stale in (path, sidecar_path(path)):
                     try:
                         stale.unlink()
@@ -346,10 +314,10 @@ class Cache:
 
         The artifact is stored in canonical live form — cache bookkeeping
         fields cleared — so a future hit compares bit-identically against
-        live recomputation.  The entry rename, its sidecar stamp, and the
-        removal of any legacy-layout duplicate happen under the entry's
-        advisory lock: concurrent writers serialize per digest, so a
-        racing put/GC pair can no longer orphan a ``.meta-*`` sidecar."""
+        live recomputation.  The entry rename and its sidecar stamp
+        happen under the entry's advisory lock: concurrent writers
+        serialize per digest, so a racing put/GC pair can no longer
+        orphan a ``.meta-*`` sidecar."""
         canonical = artifact.without_cache_stamp()
         payload = {
             "cache_entry_version": CACHE_ENTRY_VERSION,
@@ -358,7 +326,7 @@ class Cache:
         }
         path = self.path_for(key)
         ensure_directory(path.parent)
-        from repro.cache.gc import record_put, sidecar_path
+        from repro.cache.gc import record_put
 
         with entry_lock(path):
             fd, tmp = tempfile.mkstemp(
@@ -383,100 +351,27 @@ class Cache:
                     ) from None
                 raise
             record_put(path)
-            # A legacy-layout duplicate would make the digest double-
-            # counted (and resurrectable); the sharded copy wins.
-            for legacy in self.legacy_paths(key.digest):
-                for stale in (legacy, sidecar_path(legacy)):
-                    try:
-                        stale.unlink()
-                    except OSError:
-                        pass
         return path
 
-    # -- layout migration ----------------------------------------------
-    def _migrate_entry(self, legacy: Path) -> None:
-        """Relocate one legacy-layout entry (and its sidecar) into the
-        sharded layout, atomically, under the entry lock.  A concurrent
-        migration or put of the same digest wins harmlessly: the rename
-        simply finds its source gone."""
-        from repro.cache.gc import sidecar_path
-
-        if not _is_digest_name(legacy.name):
-            return
-        target = self.canonical_path(legacy.stem)
-        ensure_directory(target.parent)
-        with entry_lock(target):
-            if target.exists():
-                # Sharded copy already present: drop the stale duplicate.
-                for stale in (legacy, sidecar_path(legacy)):
-                    try:
-                        stale.unlink()
-                    except OSError:
-                        pass
-                return
-            try:
-                os.replace(legacy, target)
-            except OSError:
-                return  # source vanished under a concurrent writer
-            try:
-                os.replace(sidecar_path(legacy), sidecar_path(target))
-            except OSError:
-                pass  # no sidecar to carry over (pre-GC store)
-
-    def migrate(self) -> int:
-        """Relocate every legacy-layout entry into the sharded layout;
-        returns how many entries moved.  Safe to run concurrently with
-        readers and writers (each move holds the entry lock), and
-        idempotent — a second pass finds nothing to do."""
-        moved = 0
-        for legacy in self._iter_legacy_paths():
-            target = self.canonical_path(legacy.stem)
-            self._migrate_entry(legacy)
-            if target.exists() and not legacy.exists():
-                moved += 1
-        # Legacy one-level shard dirs that emptied out can go.
-        for shard in sorted(self.root.glob("*")):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
-        return moved
-
     # -- maintenance ---------------------------------------------------
-    def _iter_legacy_paths(self) -> Iterator[Path]:
-        """Entry files still in a pre-sharding location (one-level
-        ``ab/<digest>.json`` or flat ``<digest>.json``), skipping any
-        digest that already has a sharded copy (the sharded copy wins)."""
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob("*/*.json")) + sorted(
-            self.root.glob("*.json")
-        ):
-            if path.name.startswith(".") or not _is_digest_name(path.name):
-                continue
-            if self.canonical_path(path.stem).exists():
-                continue
-            yield path
-
     def iter_entry_paths(self) -> Iterator[Path]:
-        """Every entry *file*, in stable (digest) order, without
-        parsing: sharded entries (``ab/cd/<digest>.json``) plus any
-        not-yet-migrated legacy entries.  The hidden-file filter is
-        load-bearing: pathlib's ``*``-glob matches dotfiles (unlike the
-        ``glob`` module), so without it ``.tmp-*`` write debris,
-        ``.meta-*`` sidecars, and ``.lock-*`` files would be picked up
-        and mis-discarded as corrupt entries."""
+        """Every entry *file* (``ab/cd/<digest>.json``), in stable
+        (digest) order, without parsing.  The filters are load-bearing:
+        pathlib's ``*``-glob matches dotfiles (unlike the ``glob``
+        module), so without them ``.tmp-*`` write debris, ``.meta-*``
+        sidecars, and ``.lock-*`` files would be picked up and
+        mis-discarded as corrupt entries.  A digest-named file outside
+        its own shard is foreign too, so every path yielded here is its
+        digest's canonical path."""
         if not self.root.is_dir():
             return
-        seen: dict[str, Path] = {}
         for path in sorted(self.root.glob("*/*/*.json")):
-            if not path.name.startswith(".") and _is_digest_name(path.name):
-                seen[path.stem] = path
-        for path in self._iter_legacy_paths():
-            seen.setdefault(path.stem, path)
-        for digest in sorted(seen):
-            yield seen[digest]
+            if (
+                not path.name.startswith(".")
+                and _is_digest_name(path.name)
+                and path == self.canonical_path(path.stem)
+            ):
+                yield path
 
     def iter_entries(self) -> Iterator[CacheEntry]:
         """Every readable entry in the store, in stable (digest) order."""
@@ -509,7 +404,6 @@ class Cache:
             except OSError:
                 continue
             tmp_files += 1
-        legacy = sum(1 for _ in self._iter_legacy_paths())
         return CacheStats(
             root=self.root,
             entries=entries,
@@ -519,7 +413,6 @@ class Cache:
             tmp_files=tmp_files,
             tmp_bytes=tmp_bytes,
             gc=read_gc_state(self.root),
-            legacy_entries=legacy,
         )
 
     def gc(
@@ -544,7 +437,12 @@ class Cache:
         and unheld ``.lock-*`` files); returns how many *entries* were
         removed.  Leaves the root directory (and any foreign files in
         it) alone."""
-        from repro.cache.gc import iter_debris, iter_lock_files, sidecar_path
+        from repro.cache.gc import (
+            iter_debris,
+            iter_lock_files,
+            prune_empty_shards,
+            sidecar_path,
+        )
         from repro.cache.lock import try_reap_lock
 
         removed = 0
@@ -567,12 +465,5 @@ class Cache:
                 pass
         for lock_file in iter_lock_files(self.root):
             try_reap_lock(lock_file)
-        for shard in sorted(
-            self.root.glob("*/*"), reverse=True
-        ) + sorted(self.root.glob("*"), reverse=True):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
+        prune_empty_shards(self.root)
         return removed

@@ -85,7 +85,8 @@ def verify_store(
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.cache.store import cache_key_for
-    from repro.runtime.runner import run_one
+    from repro.runtime.request import RunRequest
+    from repro.runtime.runner import execute
 
     entries = list(store.iter_entries())
     fresh = []
@@ -132,20 +133,21 @@ def verify_store(
             detail="stored artifact differs from live recomputation",
         )
 
+    requests = [
+        RunRequest(
+            experiment_id=e.key.experiment_id,
+            quick=e.key.quick,
+            seed=e.key.seed,
+            cache="off",
+        )
+        for e in fresh
+    ]
     if jobs <= 1 or len(fresh) <= 1:
-        lives = [
-            run_one(e.key.experiment_id, quick=e.key.quick, seed=e.key.seed)
-            for e in fresh
-        ]
+        lives = [execute(request).artifact for request in requests]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(fresh))) as pool:
-            futures = [
-                pool.submit(
-                    run_one, e.key.experiment_id, e.key.quick, e.key.seed
-                )
-                for e in fresh
-            ]
-            lives = [f.result() for f in futures]
+            futures = [pool.submit(execute, request) for request in requests]
+            lives = [f.result().artifact for f in futures]
     records.extend(record_for(e, live) for e, live in zip(fresh, lives))
     records.sort(key=lambda r: (r.experiment_id, r.digest))
     return VerifyReport(records=tuple(records), jobs=jobs)

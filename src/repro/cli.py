@@ -22,11 +22,10 @@ appears):
   ``point:16``, ``uniform:4:1:5``, ``pareto:4:1:6:0.5``,
   ``worstcase:8:4:256``, ...); ``--quick`` swaps the exact renewal DP
   for the Wald midpoint, ``--json DIR`` writes ``solve.json``;
-* ``cache stats|clear|migrate|verify|gc`` — inspect, empty, relayout,
-  spot-check, or garbage-collect the artifact store (``migrate`` moves
-  legacy flat/one-level entries into the sharded ``ab/cd/`` layout;
-  ``verify`` re-runs sampled entries live and diffs against the stored
-  artifacts; ``gc`` reaps ``.tmp-*`` write debris and evicts LRU-first
+* ``cache stats|clear|verify|gc`` — inspect, empty, spot-check, or
+  garbage-collect the artifact store (``verify`` re-runs sampled
+  entries live and diffs against the stored artifacts; ``gc`` reaps
+  ``.tmp-*`` write debris and evicts LRU-first
   under ``--max-bytes/--max-entries/--max-age-days`` budgets,
   ``--dry-run`` to preview);
 * ``serve`` — the asyncio artifact-serving daemon: answers
@@ -210,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_dir(stats_p, "cache_stats.json")
     clear_p = cache_sub.add_parser("clear", help="remove every cache entry")
     _add_cache_dir(clear_p)
-    migrate_p = cache_sub.add_parser(
-        "migrate",
-        help="relocate entries from legacy (flat / one-level) layouts "
-        "into the sharded ab/cd/ layout in one pass",
-    )
-    _add_cache_dir(migrate_p)
     gc_p = cache_sub.add_parser(
         "gc",
         help="reap .tmp-* write debris and evict LRU-first under "
@@ -767,18 +760,6 @@ def _cmd_cache_clear(cache_dir: str | None) -> int:
     return 0
 
 
-def _cmd_cache_migrate(cache_dir: str | None) -> int:
-    from repro.cache.store import Cache
-
-    store = Cache(cache_dir)
-    moved = store.migrate()
-    print(
-        f"migrated {moved} entr{'y' if moved == 1 else 'ies'} into the "
-        f"sharded layout under {store.root}"
-    )
-    return 0
-
-
 def _cmd_serve(
     host: str,
     port: int,
@@ -1146,8 +1127,6 @@ def main(argv: list[str] | None = None) -> int:
                 return _cmd_cache_stats(args.cache_dir, json_dir=args.json_dir)
             if args.cache_command == "clear":
                 return _cmd_cache_clear(args.cache_dir)
-            if args.cache_command == "migrate":
-                return _cmd_cache_migrate(args.cache_dir)
             if args.cache_command == "gc":
                 return _cmd_cache_gc(
                     args.cache_dir,

@@ -46,6 +46,7 @@ from repro.devtools.analyze.symbols import (
     has_opaque_decorator,
     symbol_scan_nodes,
 )
+from repro.devtools.context import dotted_chain
 
 __all__ = [
     "SymbolKey",
@@ -232,7 +233,7 @@ class GraphBuilder:
                         src, node, table, binding_only=binding_only
                     )
                 elif isinstance(node, ast.Attribute):
-                    chain = _dotted_chain(node)
+                    chain = dotted_chain(node)
                     if chain is not None and self.attribute_edges(
                         src, chain, table
                     ):
@@ -325,17 +326,6 @@ class GraphBuilder:
             module = self._pending.pop()
             self.process_module(module)
         return self.graph
-
-
-def _dotted_chain(node: ast.AST) -> tuple[str, ...] | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return tuple(reversed(parts))
 
 
 def _chain_root(node: ast.Attribute) -> ast.Name | None:

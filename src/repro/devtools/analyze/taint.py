@@ -41,6 +41,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from repro.devtools.context import dotted_chain
+
 __all__ = [
     "Finding",
     "TAINT_RULES",
@@ -161,20 +163,9 @@ def collect_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def _dotted_chain(node: ast.AST) -> tuple[str, ...] | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return tuple(reversed(parts))
-
-
 def canonical_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
     """Canonical dotted path of a Name/Attribute expression, or None."""
-    chain = _dotted_chain(node)
+    chain = dotted_chain(node)
     if chain is None:
         return None
     base = aliases.get(chain[0])

@@ -4,7 +4,10 @@ The context bundles the parsed AST with the path-derived facts rules
 dispatch on: whether the module is library code (under ``src/``), a
 script (``benchmarks/``, ``examples/``), or a test; whether it *is* the
 RNG module that the RNG-discipline rules exempt; and whether it lives in
-``analysis/`` where exact float comparison is banned.
+``analysis/`` where exact float comparison is banned.  It also holds
+:func:`dotted_chain`, the AST helper the rules and ``repro analyze``
+share (this module imports nothing else from ``repro``, so both can use
+it without an import cycle).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 
-__all__ = ["ModuleContext", "classify_role"]
+__all__ = ["ModuleContext", "classify_role", "dotted_chain"]
 
 
 def classify_role(path: PurePosixPath) -> str:
@@ -33,6 +36,18 @@ def classify_role(path: PurePosixPath) -> str:
     if "src" in path.parts:
         return "library"
     return "script"
+
+
+def dotted_chain(node: ast.AST) -> tuple[str, ...] | None:
+    """``a.b.c`` -> ("a", "b", "c"); None for non-name chains."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return tuple(reversed(parts))
 
 
 @dataclass

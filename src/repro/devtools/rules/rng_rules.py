@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, dotted_chain
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.registry import LintRule, register_rule
 
@@ -25,18 +25,6 @@ __all__ = ["RngFactoryRule", "RngCoerceRule", "RngDisciplineRule"]
 _ALLOWED_NP_RANDOM_ATTRS = {"Generator", "BitGenerator", "SeedSequence"}
 
 _ROUTE_HINT = "route randomness through repro.util.rng (as_generator/spawn/fixed_seeds)"
-
-
-def _dotted_chain(node: ast.AST) -> tuple[str, ...] | None:
-    """``a.b.c`` -> ("a", "b", "c"); None for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return tuple(reversed(parts))
 
 
 def _collect_numpy_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -96,7 +84,7 @@ class RngFactoryRule(LintRule):
                                 f"direct import of numpy.random.{alias.name}; {_ROUTE_HINT}",
                             )
             elif isinstance(node, ast.Call):
-                chain = _dotted_chain(node.func)
+                chain = dotted_chain(node.func)
                 if chain is None:
                     continue
                 attr = None
@@ -162,7 +150,7 @@ class RngCoerceRule(LintRule):
                     continue
                 # as_generator() with no seed draws fresh OS entropy:
                 # irreproducible by construction.
-                chain = _dotted_chain(node.func)
+                chain = dotted_chain(node.func)
                 if (
                     chain is not None
                     and chain[-1] == "as_generator"
@@ -243,7 +231,7 @@ def _stream_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
             names.add(arg.arg)
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            chain = _dotted_chain(node.value.func)
+            chain = dotted_chain(node.value.func)
             if chain is None:
                 continue
             if chain[-1] in ("ReplayableStream", "substream", "for_trial"):
@@ -262,7 +250,7 @@ def _stream_in_scope(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
             return True
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            chain = _dotted_chain(node.value.func)
+            chain = dotted_chain(node.value.func)
             if chain is not None and chain[-1] in (
                 "ReplayableStream",
                 "substream",

@@ -8,6 +8,9 @@ Two forms are recognized:
 * file-level — ``# repro-lint: disable-file=rule-a`` anywhere in the
   file silences the named rules for the whole module.
 
+Pragmas are read from comment tokens only: the same text inside a
+string or docstring waives nothing.
+
 The keyword ``all`` silences every rule at that scope.  Suppressions are
 deliberately loud in review diffs: grepping for ``repro-lint:`` is the
 audit trail for every waived invariant.
@@ -31,7 +34,9 @@ Two refinements on top of the plain line map:
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Collection, Iterator
 
@@ -41,6 +46,12 @@ __all__ = ["Suppression", "SuppressionIndex", "scan_suppressions"]
 
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*disable(?P<filewide>-file)?=(?P<rules>[A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)"
+)
+
+#: Tokens that carry no code, so a comment after them on the same line
+#: still stands alone.
+_LAYOUT_TOKENS = frozenset(
+    {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 )
 
 
@@ -126,6 +137,19 @@ def _decorated_spans(tree: ast.AST) -> dict[int, int]:
     return spans
 
 
+def _iter_comments(source: str) -> Iterator[tuple[int, str, bool]]:
+    """``(line, text, standalone)`` for every comment token in
+    ``source``; a standalone comment has no code before it on its line.
+    ``source`` must tokenize, which any source ``ast.parse`` accepts
+    does."""
+    code_row = 0  # the last row a code token ended on
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string, tok.start[0] != code_row
+        elif tok.type not in _LAYOUT_TOKENS:
+            code_row = tok.end[0]
+
+
 def scan_suppressions(
     source: str, tree: ast.AST | None = None
 ) -> SuppressionIndex:
@@ -137,8 +161,8 @@ def scan_suppressions(
     """
     index = SuppressionIndex()
     spans = _decorated_spans(tree) if tree is not None else {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA.search(line)
+    for lineno, comment, standalone in _iter_comments(source):
+        match = _PRAGMA.search(comment)
         if match is None:
             continue
         rules = tuple(
@@ -157,7 +181,7 @@ def scan_suppressions(
             continue
         # A standalone comment guards the next line; a trailing comment
         # guards its own line.
-        target = lineno + 1 if line.lstrip().startswith("#") else lineno
+        target = lineno + 1 if standalone else lineno
         targets = {target}
         if target in spans:
             targets.add(spans[target])  # spread onto the decorated def

@@ -6,13 +6,13 @@ Import :data:`repro.experiments.registry.EXPERIMENTS` (or use
 
 from repro.experiments.common import ExperimentResult, ResultTable
 
-__all__ = ["ExperimentResult", "ResultTable", "EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = ["ExperimentResult", "ResultTable", "EXPERIMENTS"]
 
 
 def __getattr__(name):
     # registry imports the experiment modules, which import common; expose
     # it lazily to keep `import repro.experiments` light and cycle-free.
-    if name in ("EXPERIMENTS", "run_experiment", "run_all", "Experiment"):
+    if name in ("EXPERIMENTS", "Experiment"):
         from repro.experiments import registry
 
         return getattr(registry, name)

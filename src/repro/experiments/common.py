@@ -65,7 +65,7 @@ class ExperimentResult:  # repro-lint: disable=frozen-dataclass
         :class:`RunArtifact`.
 
         ``wall_time_s`` and ``counters`` stay empty here: they belong to
-        the runtime layer (:func:`repro.runtime.run_one`), which wraps
+        the runtime layer (:func:`repro.runtime.execute`), which wraps
         the experiment call and attaches them to the finalized artifact.
         """
         return RunArtifact(

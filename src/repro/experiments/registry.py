@@ -4,9 +4,7 @@
 ``run(quick=True, seed=0) -> RunArtifact``.  The registry itself is pure
 dispatch; timing, instrumentation, parallel execution, and caching live
 in :mod:`repro.runtime.runner`, which the CLI (``python -m repro``), the
-benchmark suite, and the :mod:`repro.api` façade all share.  The old
-``run_experiment``/``run_all`` entry points here are deprecated shims
-for :func:`repro.api.run` / :func:`repro.api.run_all`.
+benchmark suite, and the :mod:`repro.api` façade all share.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.experiments import (
 )
 from repro.runtime.artifact import RunArtifact
 
-__all__ = ["Experiment", "EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = ["Experiment", "EXPERIMENTS"]
 
 
 @dataclass(frozen=True)
@@ -88,63 +86,3 @@ EXPERIMENTS: dict[str, Experiment] = {
     mod.EXPERIMENT_ID: _register(mod) for mod in _MODULES
 }
 
-
-def _deprecated_run_experiment(
-    experiment_id: str, quick: bool = True, seed: int = 0
-) -> RunArtifact:
-    """Deprecated alias for :func:`repro.api.run` (kept importable so old
-    call sites keep working).  Routes through the canonical v2
-    :class:`repro.api.RunRequest` path, uncached (``cache="off"``) to
-    preserve the original plain-dispatch semantics."""
-    from repro.api import RunRequest, execute
-
-    return execute(
-        RunRequest(
-            experiment_id=experiment_id, quick=quick, seed=seed, cache="off"
-        )
-    ).artifact
-
-
-def _deprecated_run_all(
-    quick: bool = True, seed: int = 0, jobs: int = 1
-) -> dict[str, RunArtifact]:
-    """Deprecated alias for :func:`repro.api.run_all` (uncached; the
-    façade stamps each experiment into its own v2 ``RunRequest``)."""
-    from repro.api import run_all
-
-    return run_all(quick=quick, seed=seed, jobs=jobs, cache="off")
-
-
-_DEPRECATED = {
-    "run_experiment": (
-        _deprecated_run_experiment,
-        "repro.api.run (or repro.api.execute with a repro.api.RunRequest "
-        "for the typed v2 response)",
-    ),
-    "run_all": (
-        _deprecated_run_all,
-        "repro.api.run_all (each experiment becomes one "
-        "repro.api.RunRequest; see docs/API.md)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 shims: the registry's execution entry points moved to the
-    :mod:`repro.api` façade (API v2: one ``RunRequest`` per run);
-    importing them from here still works but warns with the v2
-    replacement spelled out."""
-    if name in _DEPRECATED:
-        import warnings
-
-        func, replacement = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.experiments.registry.{name} is deprecated; "
-            f"use {replacement} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func
-    raise AttributeError(
-        f"module 'repro.experiments.registry' has no attribute {name!r}"
-    )

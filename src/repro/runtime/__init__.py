@@ -4,7 +4,7 @@ Everything that *runs* experiments lives here: the schema-versioned
 :class:`RunArtifact` (the immutable, JSON-round-trippable record of one
 run), the :class:`RunManifest` (the per-run summary with timings and
 speedup), per-run :mod:`instrumentation` counters, and the
-:class:`ExperimentRunner` / :func:`run_one` execution path that the CLI,
+:class:`ExperimentRunner` / :func:`execute` execution path that the CLI,
 tests, and benchmarks all share.  See ``docs/ARTIFACTS.md``.
 
 The runner half of the package is exposed lazily: ``runner`` imports the
@@ -37,13 +37,12 @@ __all__ = [
     "ExperimentRunner",
     "RunnerPool",
     "execute",
-    "run_one",
 ]
 
 
 def __getattr__(name):  # pragma: no cover - thin lazy-import shim
     """Lazily expose the runner to avoid the registry import cycle."""
-    if name in ("ExperimentRunner", "RunnerPool", "execute", "run_one"):
+    if name in ("ExperimentRunner", "RunnerPool", "execute"):
         from repro.runtime import runner
 
         return getattr(runner, name)

@@ -6,8 +6,7 @@ experiments through this module, so timing, instrumentation, and
 artifact finalization can never drift between them.  The canonical
 entry point is :func:`execute`, which takes one typed
 :class:`~repro.runtime.request.RunRequest` and returns a
-:class:`~repro.runtime.request.RunResponse`; :func:`run_one` is the
-historical positional spelling kept as a thin wrapper.
+:class:`~repro.runtime.request.RunResponse`.
 :class:`ExperimentRunner` fans a list of experiments over a
 ``ProcessPoolExecutor`` (``jobs > 1``) while preserving registration
 order in the results, and :class:`RunnerPool` exposes that same pool as
@@ -27,8 +26,7 @@ content-addressed artifact store (:mod:`repro.cache`) keyed by
 warm hit returns the stored artifact (stamped ``cache_hit=True``,
 ``wall_time_s=0.0``, ``saved_wall_time_s=<stored compute time>``), a
 miss computes and stores.  ``cache="refresh"`` recomputes and overwrites
-unconditionally; ``cache="off"`` (the default) is the PR-2 behavior,
-byte for byte.
+unconditionally; ``cache="off"`` never touches the store.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from repro.runtime.request import CACHE_MODES, RunRequest, RunResponse
 __all__ = [
     "CACHE_MODES",
     "execute",
-    "run_one",
     "RunnerPool",
     "ExperimentRunner",
 ]
@@ -138,31 +135,6 @@ def execute(request: RunRequest) -> RunResponse:
     return RunResponse(
         request=request, artifact=artifact, served_from="computed"
     )
-
-
-def run_one(
-    experiment_id: str,
-    quick: bool = True,
-    seed: int = 0,
-    cache: str = "off",
-    cache_dir: "str | None" = None,
-) -> RunArtifact:
-    """Run one experiment with timing and instrumentation attached.
-
-    Positional wrapper over :func:`execute` kept for the historical
-    call sites; new code should build a :class:`RunRequest` (see
-    ``docs/API.md``) and call :func:`execute` — the response carries the
-    same artifact plus its provenance (``served_from``).
-    """
-    return execute(
-        RunRequest(
-            experiment_id=experiment_id,
-            quick=quick,
-            seed=seed,
-            cache=cache,
-            cache_dir=cache_dir,
-        )
-    ).artifact
 
 
 class RunnerPool:

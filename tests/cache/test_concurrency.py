@@ -135,26 +135,12 @@ class TestPutVersusCollectRace:
         assert store.get(make_key(0)).artifact.seed == 0
 
 
-def _demote_all_to_flat(store: Cache) -> None:
-    from repro.cache.gc import sidecar_path
-
-    for path in list(store.iter_entry_paths()):
-        flat = store.root / path.name
-        path.rename(flat)
-        meta = sidecar_path(path)
-        if meta.exists():
-            meta.rename(sidecar_path(flat))
-
-
-@pytest.mark.parametrize("layout", ["sharded", "flat"])
 class TestMultiWriterTorture:
-    def test_concurrent_put_get_collect(self, tmp_path, layout):
+    def test_concurrent_put_get_collect(self, tmp_path):
         root = str(tmp_path / "store")
         store = Cache(root)
         for seed in ALL_SEEDS:
             store.put(make_key(seed), make_artifact(seed))
-        if layout == "flat":
-            _demote_all_to_flat(store)
         # Two overlapping writers, a validating reader, and a collector
         # whose budget never evicts (so "no lost entries" is exact): GC
         # sweeps (debris, orphan sidecars, lock reaping, shard pruning)

@@ -1,26 +1,27 @@
-"""Integration tests: the cache wired through run_one/ExperimentRunner,
+"""Integration tests: the cache wired through api.run/ExperimentRunner,
 store verification, and the cold-vs-warm benchmark."""
 
 import pytest
 
+from repro.api import run
 from repro.cache.store import Cache, cache_key_for
 from repro.errors import ExperimentError
-from repro.runtime.runner import ExperimentRunner, run_one
+from repro.runtime.runner import ExperimentRunner
 
 
 class TestRunOneCache:
     def test_off_never_touches_store(self, tmp_path):
         store = Cache(tmp_path / "store")
-        artifact = run_one("fig1", cache="off", cache_dir=str(store.root))
+        artifact = run("fig1", cache="off", cache_dir=str(store.root))
         assert artifact.cache_hit is None
         assert store.stats().entries == 0
 
     def test_auto_miss_then_hit(self, tmp_path):
         root = str(tmp_path / "store")
-        cold = run_one("fig1", cache="auto", cache_dir=root)
+        cold = run("fig1", cache="auto", cache_dir=root)
         assert cold.cache_hit is False
         assert cold.wall_time_s > 0
-        warm = run_one("fig1", cache="auto", cache_dir=root)
+        warm = run("fig1", cache="auto", cache_dir=root)
         assert warm.cache_hit is True
         assert warm.wall_time_s == 0.0
         assert warm.saved_wall_time_s == pytest.approx(cold.wall_time_s)
@@ -31,14 +32,14 @@ class TestRunOneCache:
 
     def test_different_seed_misses(self, tmp_path):
         root = str(tmp_path / "store")
-        run_one("fig1", seed=0, cache="auto", cache_dir=root)
-        other = run_one("fig1", seed=1, cache="auto", cache_dir=root)
+        run("fig1", seed=0, cache="auto", cache_dir=root)
+        other = run("fig1", seed=1, cache="auto", cache_dir=root)
         assert other.cache_hit is False
 
     def test_refresh_recomputes_and_overwrites(self, tmp_path):
         root = str(tmp_path / "store")
-        run_one("fig1", cache="auto", cache_dir=root)
-        refreshed = run_one("fig1", cache="refresh", cache_dir=root)
+        run("fig1", cache="auto", cache_dir=root)
+        refreshed = run("fig1", cache="refresh", cache_dir=root)
         assert refreshed.cache_hit is False
         assert refreshed.wall_time_s > 0
         store = Cache(root)
@@ -49,7 +50,7 @@ class TestRunOneCache:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ExperimentError):
-            run_one("fig1", cache="sometimes")
+            run("fig1", cache="sometimes")
         with pytest.raises(ExperimentError):
             ExperimentRunner(cache="sometimes")
 
@@ -93,7 +94,7 @@ class TestVerifyStore:
         from repro.cache.verify import verify_store
 
         root = str(tmp_path / "store")
-        run_one("fig1", cache="auto", cache_dir=root)
+        run("fig1", cache="auto", cache_dir=root)
         store = Cache(root)
         key = cache_key_for("fig1", True, 0)
         entry = store.get(key)
@@ -109,7 +110,7 @@ class TestVerifyStore:
         from repro.cache.verify import verify_store
 
         root = str(tmp_path / "store")
-        run_one("fig1", cache="auto", cache_dir=root)
+        run("fig1", cache="auto", cache_dir=root)
         store = Cache(root)
         key = cache_key_for("fig1", True, 0)
         entry = store.get(key)

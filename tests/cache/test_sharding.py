@@ -1,7 +1,7 @@
-"""The sharded ``ab/cd/<digest>`` layout and legacy-store migration."""
+"""The sharded ``ab/cd/<digest>`` layout — the store's only one — and
+its read-only-store contract."""
 
-import json
-from pathlib import Path
+import shutil
 
 from repro.cache.gc import GCBudget, collect, sidecar_path
 from repro.cache.store import Cache, CacheKey
@@ -32,30 +32,6 @@ def make_key(**overrides) -> CacheKey:
     return CacheKey(**base)
 
 
-def demote_to_one_level(store: Cache, path: Path) -> Path:
-    """Relocate a sharded entry to the legacy one-level layout."""
-    legacy = path.parent.parent / path.name
-    path.rename(legacy)
-    meta = sidecar_path(path)
-    if meta.exists():
-        meta.rename(sidecar_path(legacy))
-    try:
-        path.parent.rmdir()
-    except OSError:
-        pass
-    return legacy
-
-
-def demote_to_flat(store: Cache, path: Path) -> Path:
-    """Relocate a sharded entry to the legacy flat layout."""
-    flat = store.root / path.name
-    path.rename(flat)
-    meta = sidecar_path(path)
-    if meta.exists():
-        meta.rename(sidecar_path(flat))
-    return flat
-
-
 class TestShardedLayout:
     def test_put_lands_two_levels_deep(self, tmp_path):
         store = Cache(tmp_path / "store")
@@ -65,115 +41,37 @@ class TestShardedLayout:
         assert path == store.root / digest[:2] / digest[2:4] / f"{digest}.json"
         assert path.is_file()
 
-    def test_canonical_and_legacy_paths_disjoint(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        digest = "ab" + "cd" + "e" * 60
-        canonical = store.canonical_path(digest)
-        assert all(p != canonical for p in store.legacy_paths(digest))
-
-
-class TestLazyMigration:
-    def test_get_migrates_one_level_entry(self, tmp_path):
+    def test_off_layout_copies_are_foreign(self, tmp_path):
+        """A valid entry anywhere but its own ``ab/cd/`` shard (the
+        one-level ``ab/<digest>.json`` or flat ``<digest>.json`` layouts
+        of older builds, or another shard) is never read, counted,
+        evicted, or removed."""
         store = Cache(tmp_path / "store")
         key = make_key()
         canonical = store.put(key, make_artifact())
-        legacy = demote_to_one_level(store, canonical)
-        assert not canonical.exists() and legacy.exists()
-        entry = store.get(key)
-        assert entry is not None and entry.path == canonical
-        assert canonical.exists() and not legacy.exists()
-        # the sidecar moved with its entry
-        assert sidecar_path(canonical).exists()
-        assert not sidecar_path(legacy).exists()
-
-    def test_get_migrates_flat_entry(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        canonical = store.put(key, make_artifact())
-        flat = demote_to_flat(store, canonical)
-        entry = store.get(key)
-        assert entry is not None and canonical.exists() and not flat.exists()
-
-    def test_put_removes_legacy_duplicate(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        legacy = demote_to_one_level(store, store.put(key, make_artifact()))
-        store.put(key, make_artifact(wall_time_s=9.0))
-        assert not legacy.exists()
-        assert store.get(key).stored_wall_time_s == 9.0
-
-    def test_sharded_copy_wins_over_stale_legacy(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        # a stale legacy duplicate next to a live sharded entry
-        legacy = demote_to_one_level(store, store.put(key, make_artifact(wall_time_s=1.0)))
-        store.put(key, make_artifact(wall_time_s=2.0))
-        legacy.write_text(
-            json.dumps({"cache_entry_version": 0}), encoding="utf-8"
-        )
-        assert store.get(key).stored_wall_time_s == 2.0
-        assert store.stats().entries == 1  # never double-counted
-
-
-class TestBulkMigration:
-    def test_migrate_moves_everything(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        legacies = []
-        for seed in range(3):
-            path = store.put(make_key(seed=seed), make_artifact(seed=seed))
-            if seed % 2:
-                legacies.append(demote_to_flat(store, path))
-            else:
-                legacies.append(demote_to_one_level(store, path))
-        assert store.stats().legacy_entries == 3
-        assert store.migrate() == 3
-        assert store.stats().legacy_entries == 0
-        assert store.stats().entries == 3
-        assert all(not legacy.exists() for legacy in legacies)
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        demote_to_flat(store, store.put(make_key(), make_artifact()))
-        assert store.migrate() == 1
-        assert store.migrate() == 0
-
-    def test_cli_cache_migrate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        store = Cache(tmp_path / "store")
-        demote_to_one_level(store, store.put(make_key(), make_artifact()))
-        rc = main(["cache", "migrate", "--cache-dir", str(store.root)])
-        assert rc == 0
-        assert "migrated 1 entry" in capsys.readouterr().out
-        assert store.stats().legacy_entries == 0
-
-
-class TestLegacyMaintenance:
-    def test_iter_entries_sees_both_layouts(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        demote_to_flat(store, store.put(make_key(seed=0), make_artifact(seed=0)))
-        store.put(make_key(seed=1), make_artifact(seed=1))
-        assert sum(1 for _ in store.iter_entries()) == 2
-
-    def test_gc_evicts_legacy_entries(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        demote_to_flat(store, store.put(make_key(), make_artifact()))
+        foreign = [
+            store.root / key.digest[:2] / canonical.name,
+            store.root / canonical.name,
+            store.root / "zz" / "zz" / canonical.name,
+        ]
+        for path in foreign:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(canonical, path)
+        canonical.unlink()
+        sidecar_path(canonical).unlink()
+        assert store.get(key) is None
+        assert list(store.iter_entry_paths()) == []
+        assert store.stats().entries == 0
         report = collect(store, GCBudget(max_bytes=None, max_entries=0))
-        assert report.evicted_entries == 1
-        assert store.stats().entries == 0
-
-    def test_clear_sweeps_legacy_entries(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        demote_to_one_level(store, store.put(make_key(seed=0), make_artifact()))
-        store.put(make_key(seed=1), make_artifact())
-        assert store.clear() == 2
-        assert store.stats().entries == 0
+        assert report.examined_entries == 0
+        assert store.clear() == 0
+        assert all(path.exists() for path in foreign)
 
 
 class TestReadOnlyStore:
-    """``get`` on a store it cannot write to: misses and in-place
-    serves, never errors — a shared read-only CI cache must degrade to
-    recomputation, not take the run down (the documented contract).
+    """``get`` on a store it cannot write to: misses, never errors — a
+    shared read-only CI cache must degrade to recomputation, not take
+    the run down (the documented contract).
 
     Write denial is simulated by making the entry lock unacquirable
     (acquiring it creates the lock file, the first write any mutation
@@ -190,17 +88,6 @@ class TestReadOnlyStore:
             yield  # pragma: no cover
 
         monkeypatch.setattr("repro.cache.store.entry_lock", denied)
-
-    def test_legacy_entry_served_in_place(self, tmp_path, monkeypatch):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        legacy = demote_to_flat(store, store.put(key, make_artifact()))
-        self._lock_out_writes(monkeypatch)
-        entry = store.get(key)
-        assert entry is not None
-        assert entry.path == legacy  # migration impossible: read as-is
-        assert legacy.exists()
-        assert not store.canonical_path(key.digest).exists()
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path, monkeypatch):
         store = Cache(tmp_path / "store")

@@ -63,6 +63,31 @@ class TestMultiRuleDisables:
         assert lint_source(source, path="benchmarks/x.py") == []
 
 
+class TestPragmasAreComments:
+    def test_pragma_text_in_a_string_waives_nothing(self):
+        source = dedent(
+            """
+            import numpy as np
+
+            __all__ = []
+            HINT = "waive with # repro-lint: disable-file=rng-factory"
+            gen = np.random.default_rng(0)
+            """
+        )
+        diags = lint_source(source, path="benchmarks/x.py")
+        assert [d.rule for d in diags] == ["rng-factory"]
+
+    def test_pragma_text_in_a_docstring_is_not_indexed(self):
+        source = '"""Waive with ``# repro-lint: disable=a-rule``."""\nx = 1\n'
+        assert scan_suppressions(source).suppressions == []
+
+    def test_comment_after_a_multiline_string_trails_its_last_line(self):
+        source = 'x = """a\nb"""  # repro-lint: disable=a-rule\ny = 2\n'
+        index = scan_suppressions(source)
+        assert index.is_suppressed(diag(2, "a-rule"))
+        assert not index.is_suppressed(diag(3, "a-rule"))
+
+
 class TestDecoratedDefs:
     DECORATED = dedent(
         """

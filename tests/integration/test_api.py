@@ -1,6 +1,4 @@
-"""The ``repro.api`` façade: blessed surface + deprecation shims."""
-
-import warnings
+"""The ``repro.api`` façade: the blessed surface."""
 
 import pytest
 
@@ -104,49 +102,3 @@ class TestLoadArtifact:
         with pytest.raises(ArtifactError):
             api.load_artifact(str(bad))
 
-
-class TestDeprecationShims:
-    def test_registry_run_experiment_warns_and_works(self):
-        import repro.experiments.registry as registry
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            func = registry.run_experiment
-        artifact = func("fig1")
-        assert artifact.experiment_id == "fig1"
-
-    def test_registry_run_all_warns_and_delegates(self, monkeypatch):
-        import repro.experiments.registry as registry
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run_all"):
-            func = registry.run_all
-        # delegate check via stub: running the full registry here would
-        # dominate the suite's wall time for no extra coverage
-        seen = {}
-
-        def fake_run_all(**kwargs):
-            seen.update(kwargs)
-            return {"fig1": None}
-
-        monkeypatch.setattr(api, "run_all", fake_run_all)
-        assert func(quick=True, seed=3, jobs=2) == {"fig1": None}
-        assert seen == {"quick": True, "seed": 3, "jobs": 2, "cache": "off"}
-
-    def test_top_level_run_one_warns_and_works(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            func = repro.run_one
-        assert func("fig1", quick=True, seed=0).experiment_id == "fig1"
-
-    def test_registry_unknown_attr_still_raises(self):
-        import repro.experiments.registry as registry
-
-        with pytest.raises(AttributeError):
-            registry.definitely_not_a_thing
-
-    def test_runtime_run_one_does_not_warn(self):
-        from repro.runtime import run_one
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_one("fig1", quick=True, seed=0)

@@ -51,9 +51,9 @@ class TestRoundTrip:
         assert RunArtifact.from_json(artifact.to_json()).render() == artifact.render()
 
     def test_real_experiment_round_trips(self):
-        from repro.runtime import run_one
+        from repro.api import run
 
-        artifact = run_one("fig1", quick=True, seed=0)
+        artifact = run("fig1", quick=True, seed=0, cache="off")
         loaded = RunArtifact.from_json(artifact.to_json())
         assert loaded == artifact
         assert loaded.counters == artifact.counters

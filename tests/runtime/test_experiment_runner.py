@@ -8,11 +8,11 @@ metrics, verdicts, counters) — only wall times may differ.
 
 import pytest
 
-from repro.api import run_all
+from repro.api import run, run_all
 from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENTS
 from repro.runtime import RunArtifact
-from repro.runtime.runner import ExperimentRunner, run_one
+from repro.runtime.runner import ExperimentRunner
 
 # A fast, simulation-heavy subset for the unmarked determinism check;
 # the full-registry comparison runs under the slow marker below.
@@ -21,7 +21,7 @@ SUBSET = ["fig1", "mmcount", "lemma1"]
 
 class TestRunOne:
     def test_returns_instrumented_artifact(self):
-        artifact = run_one("fig1", quick=True, seed=0)
+        artifact = run("fig1", quick=True, seed=0, cache="off")
         assert isinstance(artifact, RunArtifact)
         assert artifact.wall_time_s is not None and artifact.wall_time_s > 0
         assert artifact.seed == 0 and artifact.quick is True
@@ -29,11 +29,11 @@ class TestRunOne:
 
     def test_unknown_id(self):
         with pytest.raises(ExperimentError):
-            run_one("nope")
+            run("nope", cache="off")
 
     def test_timing_attached_without_mutating_payload(self):
         bare = EXPERIMENTS["fig1"].runner(quick=True, seed=0)
-        timed = run_one("fig1", quick=True, seed=0)
+        timed = run("fig1", quick=True, seed=0, cache="off")
         assert timed.without_timing() != bare  # counters were attached
         assert timed.tables == bare.tables
         assert timed.metrics == bare.metrics

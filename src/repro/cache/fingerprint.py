@@ -13,19 +13,29 @@ every first-party module it transitively imports (including the package
 The closure walk is purely static (no module is imported), so it is safe
 to fingerprint code that is expensive or side-effectful to load, and it
 works on synthetic package trees in tests via the ``root``/``prefix``
-parameters.  Per-file digests are memoized on ``(path, mtime, size)`` so
-fingerprinting all twenty experiments re-parses each source file once per
-process.
+parameters.  Per-file digests and import lists are memoized on ``(path,
+mtime, size)`` so fingerprinting all twenty experiments parses each
+source file once per process.
+
+Across processes, :func:`experiment_fingerprint` keeps the digests in a
+memo file at the root of an artifact store (:data:`FINGERPRINT_MEMO`),
+keyed by a byte digest of the source tree (:func:`source_tree_digest`).
+A process that finds the memo for its tree parses nothing; any byte edit
+misses it and recomputes through the same fingerprinters.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import json
+import os
+import sys
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.errors import CacheError
 
@@ -38,6 +48,10 @@ __all__ = [
     "fingerprint_module",
     "fingerprint_symbols",
     "fingerprint_mode",
+    "FINGERPRINT_MEMO",
+    "source_tree_digest",
+    "experiment_fingerprint",
+    "fingerprint_memo_state",
     "clear_fingerprint_caches",
     "fingerprint_generation",
 ]
@@ -61,10 +75,17 @@ def normalized_source_digest(source: str, *, path: str = "<string>") -> str:
     and formatting vanish; every token that can influence execution
     (including docstrings, which are runtime values) survives.
     """
+    return _tree_digest(_parse(source, path))
+
+
+def _parse(source: str, path: str) -> ast.Module:
     try:
-        tree = ast.parse(source)
+        return ast.parse(source)
     except SyntaxError as exc:
         raise FingerprintError(f"cannot parse {path}: {exc}") from None
+
+
+def _tree_digest(tree: ast.Module) -> str:
     normalized = ast.dump(tree, include_attributes=False)
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
@@ -110,9 +131,8 @@ def first_party_imports(
     ``from``-import of a symbol and of a submodule are indistinguishable
     without resolving); relative imports resolve against ``importing``.
     """
-    is_package = module_path(importing, root) is not None and (
-        module_path(importing, root).name == "__init__.py"  # type: ignore[union-attr]
-    )
+    own_path = module_path(importing, root)
+    is_package = own_path is not None and own_path.name == "__init__.py"
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -160,15 +180,25 @@ class Fingerprint:
     modules: tuple[str, ...]
 
 
-# Per-process digest memo: path -> ((mtime_ns, size), digest).  Keyed on
-# the stat signature so an edited file re-parses but an unchanged one is
-# hashed once per process no matter how many closures include it.
-_FILE_DIGESTS: dict[Path, tuple[tuple[int, int], str]] = {}
+# Per-process file memo: (path, module, prefix) -> ((mtime_ns, size),
+# digest, first-party imports).  Keyed on the stat signature so an edited
+# file re-parses but an unchanged one is parsed once per process no
+# matter how many closures include it.
+_FILE_FACTS: dict[
+    tuple[Path, str, str], tuple[tuple[int, int], str, tuple[str, ...]]
+] = {}
 _CLOSURE_CACHE: dict[tuple[str, str, str], Fingerprint] = {}
 _SYMBOL_CACHE: dict[tuple[str, str, str, str], Fingerprint] = {}
 # (root, prefix) -> shared incremental GraphBuilder: all experiments of
 # one tree extend the same graph instead of re-parsing it 20 times.
 _GRAPH_BUILDERS: dict[tuple[str, str], object] = {}
+# (root, prefix) -> (byte digest of the source files, their stat
+# signature); see source_tree_digest().
+_SOURCE_TREES: dict[
+    tuple[str, str], tuple[str, tuple[tuple[str, int, int], ...]]
+] = {}
+# (memo file, tree digest) -> the digests known to be in that memo.
+_MEMO_DIGESTS: dict[tuple[str, str], dict[str, str]] = {}
 
 # One lock serializes fingerprint computation across threads.  The memo
 # dicts alone would survive concurrency (GIL-atomic, idempotent writes),
@@ -197,32 +227,43 @@ def fingerprint_generation() -> int:
 
 
 def clear_fingerprint_caches() -> None:
-    """Drop the per-process digest and closure memos (tests)."""
+    """Drop the per-process digest, closure and source-tree memos
+    (tests).  The memo files in artifact stores stay: they are keyed by
+    the tree's bytes, so a process that re-reads them after an edit
+    misses."""
     global _GENERATION
     # Test-only reset of idempotent memos; see waivers below.
     with _CACHE_LOCK:
-        _FILE_DIGESTS.clear()  # repro-lint: disable=effect-global-mutation
+        _FILE_FACTS.clear()  # repro-lint: disable=effect-global-mutation
         _CLOSURE_CACHE.clear()  # repro-lint: disable=effect-global-mutation
         _SYMBOL_CACHE.clear()  # repro-lint: disable=effect-global-mutation
         _GRAPH_BUILDERS.clear()  # repro-lint: disable=effect-global-mutation
+        _SOURCE_TREES.clear()  # repro-lint: disable=effect-global-mutation
+        _MEMO_DIGESTS.clear()  # repro-lint: disable=effect-global-mutation
         _GENERATION += 1  # repro-lint: disable=effect-global-mutation
 
 
-def _file_digest(path: Path) -> str:
-    stat = path.stat()
-    signature = (stat.st_mtime_ns, stat.st_size)
-    cached = _FILE_DIGESTS.get(path)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
+def _file_facts(
+    path: Path, module: str, prefix: str, root: Path
+) -> tuple[str, tuple[str, ...]]:
+    """The normalized digest of ``path`` (``module``'s source) and the
+    first-party modules it imports, from one parse."""
     try:
+        stat = path.stat()
+        signature = (stat.st_mtime_ns, stat.st_size)
+        cached = _FILE_FACTS.get((path, module, prefix))
+        if cached is not None and cached[0] == signature:
+            return cached[1], cached[2]
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FingerprintError(f"cannot read {path}: {exc}") from None
-    digest = normalized_source_digest(source, path=str(path))
+    tree = _parse(source, str(path))
+    digest = _tree_digest(tree)
+    imports = tuple(first_party_imports(tree, module, prefix, root))
     # Content-keyed memo: same (path, stat) always maps to the same
-    # digest, so the write is idempotent and call-order-free.
-    _FILE_DIGESTS[path] = (signature, digest)  # repro-lint: disable=effect-global-mutation
-    return digest
+    # facts, so the write is idempotent and call-order-free.
+    _FILE_FACTS[path, module, prefix] = (signature, digest, imports)  # repro-lint: disable=effect-global-mutation
+    return digest, imports
 
 
 def fingerprint_module(
@@ -262,16 +303,11 @@ def fingerprint_module(
                         f"module {current!r} not found under {root}"
                     )
                 continue  # first-party prefix but no file: nothing to hash
-            seen[current] = _file_digest(path)
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (OSError, SyntaxError) as exc:
-                raise FingerprintError(f"cannot parse {path}: {exc}") from None
+            seen[current], imports = _file_facts(path, current, prefix, root)
             for anc in _ancestor_packages(current):
                 if anc == prefix or anc.startswith(prefix + "."):
                     stack.append(anc)
-            for imported in first_party_imports(tree, current, prefix, root):
-                stack.append(imported)
+            stack.extend(imports)
 
         combined = hashlib.sha256()
         for name in sorted(seen):
@@ -285,7 +321,7 @@ def fingerprint_module(
             modules=tuple(sorted(seen)),
         )
         # Content-keyed memo: idempotent, call-order-free (see
-        # _FILE_DIGESTS).
+        # _FILE_FACTS).
         _CLOSURE_CACHE[cache_key] = fp  # repro-lint: disable=effect-global-mutation
         return fp
 
@@ -380,7 +416,7 @@ def fingerprint_symbols(
         else:
             builder = GraphBuilder(Project([root], prefixes=[prefix]))
             digests = {}
-            # Shared content-keyed memo, same contract as _FILE_DIGESTS.
+            # Shared content-keyed memo, same contract as _FILE_FACTS.
             _GRAPH_BUILDERS[builder_key] = (builder, digests)  # repro-lint: disable=effect-global-mutation
         try:
             graph = builder.build([module])
@@ -426,6 +462,189 @@ def fingerprint_symbols(
             modules=tuple(sorted(modules)),
         )
         # Content-keyed memo: idempotent, call-order-free (see
-        # _FILE_DIGESTS).
+        # _FILE_FACTS).
         _SYMBOL_CACHE[cache_key] = fp  # repro-lint: disable=effect-global-mutation
         return fp
+
+
+# -- the fingerprint memo ---------------------------------------------------
+
+#: The memo's file name, at the root of an artifact store:
+#: ``{"tree": <source_tree_digest>, "digests": {"<module>:<entry>": digest}}``.
+FINGERPRINT_MEMO = ".fingerprints.json"
+
+
+def _tree_signature(root: Path, prefix: str) -> tuple[tuple[str, int, int], ...]:
+    """``(relative path, mtime_ns, size)`` of every file a fingerprint
+    of ``prefix`` can read, in a fixed order: ``<root>/<prefix>.py``,
+    then each ``*.py`` under ``<root>/<prefix>``."""
+    files = [root / f"{prefix}.py"] if (root / f"{prefix}.py").is_file() else []
+    if (root / prefix).is_dir():
+        files.extend(p for p in sorted((root / prefix).rglob("*.py")) if p.is_file())
+    signature = []
+    for path in files:
+        stat = path.stat()
+        signature.append((path.relative_to(root).as_posix(), stat.st_mtime_ns, stat.st_size))
+    return tuple(signature)
+
+
+def _source_tree(
+    root: Path, prefix: str
+) -> tuple[str, tuple[tuple[str, int, int], ...]]:
+    """Byte digest of the source files plus their stat signature, taken
+    once per process (callers hold ``_CACHE_LOCK``)."""
+    cached = _SOURCE_TREES.get((str(root), prefix))
+    if cached is not None:
+        return cached
+    # Stat before reading: an edit in between leaves a signature older
+    # than the bytes, which a later comparison reports as changed.
+    signature = _tree_signature(root, prefix)
+    files = hashlib.sha256()
+    for rel, _, _ in signature:
+        data = (root / rel).read_bytes()
+        files.update(f"{rel}\x00{len(data)}\x00".encode("utf-8"))
+        files.update(data)
+    result = (files.hexdigest(), signature)
+    # A per-process snapshot, like the closure memos: not re-validated
+    # until clear_fingerprint_caches() drops it.
+    _SOURCE_TREES[str(root), prefix] = result  # repro-lint: disable=effect-global-mutation
+    return result
+
+
+def _memo_key(files_digest: str) -> str:
+    """The memo's ``tree`` value: the source bytes, the fingerprint
+    mode, and the interpreter (``ast.dump`` output differs between
+    Python versions)."""
+    interpreter = ".".join(str(part) for part in sys.version_info)
+    key = hashlib.sha256()
+    for part in (sys.implementation.name, interpreter, fingerprint_mode(), files_digest):
+        key.update(part.encode("utf-8"))
+        key.update(b"\x00")
+    return key.hexdigest()
+
+
+def source_tree_digest(root: Path | None = None, prefix: str = "repro") -> str:
+    """The key of the fingerprint memo: a SHA-256 over the interpreter,
+    :func:`fingerprint_mode`, and the relative path and raw bytes of
+    every source file under ``<root>/<prefix>``.  The bytes are read
+    once per process; :func:`clear_fingerprint_caches` drops them."""
+    root = _default_root() if root is None else Path(root)
+    with _CACHE_LOCK:
+        try:
+            files_digest, _ = _source_tree(root, prefix)
+        except OSError as exc:
+            raise FingerprintError(f"cannot read the tree under {root}: {exc}") from None
+    return _memo_key(files_digest)
+
+
+def _load_memo(path: Path) -> tuple[str, dict[str, str]] | None:
+    """``(tree, digests)`` from a memo file, or ``None`` when it is
+    missing, unreadable or malformed."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
+        return None
+    tree, digests = payload.get("tree"), payload.get("digests")
+    if not isinstance(tree, str) or not isinstance(digests, dict):
+        return None
+    return tree, {k: v for k, v in digests.items() if isinstance(v, str)}
+
+
+def _read_memo(path: Path, tree: str) -> dict[str, str]:
+    loaded = _load_memo(path)
+    return loaded[1] if loaded is not None and loaded[0] == tree else {}
+
+
+def _write_memo(path: Path, tree: str, digests: dict[str, str]) -> None:
+    """Replace the memo atomically (a ``.tmp-*`` file, then
+    ``os.replace``).  Best-effort: a read-only store keeps no memo."""
+    payload = {"tree": tree, "digests": dict(sorted(digests.items()))}
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except Exception:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        pass  # the memo saves time; a store that cannot hold it still works
+
+
+def _fingerprint(module: str, entry: str, root: Path, prefix: str) -> str:
+    if fingerprint_mode() == "symbol":
+        return fingerprint_symbols(module, entry=entry, root=root, prefix=prefix).digest
+    return fingerprint_module(module, root=root, prefix=prefix).digest
+
+
+def experiment_fingerprint(
+    module: str,
+    *,
+    entry: str = "run",
+    memo_root: Path | None = None,
+    root: Path | None = None,
+    prefix: str | None = None,
+) -> str:
+    """The code digest cache keys use for ``module.entry``, at the
+    granularity :func:`fingerprint_mode` selects.
+
+    With ``memo_root`` (an artifact store's root), the digest is read
+    from the memo there when the memo belongs to this source tree
+    (:func:`source_tree_digest`): no parse, no graph build.  On a miss it
+    is computed as without the memo and written back, merged with what
+    the memo already holds for the same tree, so concurrent workers keep
+    each other's entries.  A tree that changed while the digest was
+    computed is not written back.  The memo can cost time, never
+    correctness: its key covers every byte the fingerprinters read.
+    """
+    root = _default_root() if root is None else Path(root)
+    if prefix is None:
+        prefix = module.split(".")[0]
+    if memo_root is None:
+        return _fingerprint(module, entry, root, prefix)
+    name = f"{module}:{entry}"
+    path = Path(memo_root) / FINGERPRINT_MEMO
+    with _CACHE_LOCK:
+        try:
+            files_digest, signature = _source_tree(root, prefix)
+        except OSError:
+            return _fingerprint(module, entry, root, prefix)
+        tree = _memo_key(files_digest)
+        known = _MEMO_DIGESTS.setdefault((str(path), tree), {})  # repro-lint: disable=effect-global-mutation
+        if name not in known:
+            known.update(_read_memo(path, tree))
+        if name in known:
+            return known[name]
+        digest = _fingerprint(module, entry, root, prefix)
+        try:
+            unchanged = _tree_signature(root, prefix) == signature
+        except OSError:
+            unchanged = False
+        if unchanged:
+            known.update(_read_memo(path, tree))
+            known[name] = digest
+            _write_memo(path, tree, known)
+        return digest
+
+
+def fingerprint_memo_state(
+    memo_root: Path, *, root: Path | None = None, prefix: str = "repro"
+) -> dict[str, Any]:
+    """``{"state": s, "fingerprints": n}``: ``s`` is ``current`` when the
+    memo in ``memo_root`` belongs to this source tree, ``stale`` when it
+    belongs to another, and ``absent`` when there is no readable memo;
+    ``n`` counts its fingerprints."""
+    loaded = _load_memo(Path(memo_root) / FINGERPRINT_MEMO)
+    if loaded is None:
+        return {"state": "absent", "fingerprints": 0}
+    tree, digests = loaded
+    current = tree == source_tree_digest(root, prefix)
+    return {"state": "current" if current else "stale", "fingerprints": len(digests)}

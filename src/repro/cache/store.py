@@ -156,7 +156,10 @@ class CacheStats:
     ``tmp_files``/``tmp_bytes`` count orphaned ``.tmp-*`` write debris
     (invisible to the entry globs, reaped by :meth:`Cache.gc`); ``gc``
     carries the cumulative collection counters from ``.gc-state.json``,
-    or ``None`` when no collection has ever run on this store."""
+    or ``None`` when no collection has ever run on this store.
+    ``fingerprint_memo`` is the state of the store's fingerprint memo
+    (``current``, ``stale`` or ``absent``) and how many fingerprints it
+    holds (:func:`~repro.cache.fingerprint.fingerprint_memo_state`)."""
 
     root: Path
     entries: int
@@ -166,22 +169,25 @@ class CacheStats:
     tmp_files: int = 0
     tmp_bytes: int = 0
     gc: dict[str, Any] | None = None
+    fingerprint_memo: dict[str, Any] = field(
+        default_factory=lambda: {"state": "absent", "fingerprints": 0}
+    )
 
 
 def cache_key_for(
-    experiment_id: str, quick: bool, seed: int
+    experiment_id: str, quick: bool, seed: int, store: "Cache | None" = None
 ) -> CacheKey:
     """Build the cache key for a registry experiment as the code stands
-    now: fingerprints the experiment's closure on the fly.
+    now.
 
     Granularity follows :func:`~repro.cache.fingerprint.fingerprint_mode`
     (``REPRO_CACHE_FINGERPRINT``): per-symbol reachability by default,
-    whole-module closure as the conservative fallback."""
-    from repro.cache.fingerprint import (
-        fingerprint_mode,
-        fingerprint_module,
-        fingerprint_symbols,
-    )
+    whole-module closure as the conservative fallback.  With ``store``,
+    the fingerprint comes from the memo in that store when it belongs to
+    this source tree, and is computed and written back there otherwise;
+    without one it is always computed (``repro cache verify`` relies on
+    that to stay an independent check)."""
+    from repro.cache.fingerprint import experiment_fingerprint
     from repro.experiments.registry import EXPERIMENTS
 
     try:
@@ -199,12 +205,13 @@ def cache_key_for(
     runner = exp.runner
     while isinstance(runner, functools.partial):
         runner = runner.func
-    if fingerprint_mode() == "symbol":
-        fp = fingerprint_symbols(runner.__module__, entry=runner.__name__)
-    else:
-        fp = fingerprint_module(runner.__module__)
+    fingerprint = experiment_fingerprint(
+        runner.__module__,
+        entry=runner.__name__,
+        memo_root=None if store is None else store.root,
+    )
     return CacheKey(
-        experiment_id=experiment_id, quick=quick, seed=seed, fingerprint=fp.digest
+        experiment_id=experiment_id, quick=quick, seed=seed, fingerprint=fingerprint
     )
 
 
@@ -381,6 +388,7 @@ class Cache:
                 yield entry
 
     def stats(self) -> CacheStats:
+        from repro.cache.fingerprint import fingerprint_memo_state
         from repro.cache.gc import iter_debris, read_gc_state
 
         entries = 0
@@ -413,6 +421,7 @@ class Cache:
             tmp_files=tmp_files,
             tmp_bytes=tmp_bytes,
             gc=read_gc_state(self.root),
+            fingerprint_memo=fingerprint_memo_state(self.root),
         )
 
     def gc(

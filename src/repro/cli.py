@@ -723,6 +723,13 @@ def _cmd_cache_stats(
     print(f"size on disk: {stats.total_bytes} bytes")
     print(f"stored compute time: {stats.stored_wall_time_s:.2f}s")
     print(f"temp debris: {stats.tmp_files} file(s), {stats.tmp_bytes} bytes")
+    memo_state = stats.fingerprint_memo["state"]
+    if memo_state == "current":
+        count = stats.fingerprint_memo["fingerprints"]
+        memo_state += f" ({count} fingerprint{'' if count == 1 else 's'})"
+    elif memo_state == "stale":
+        memo_state += " (another tree)"
+    print(f"fingerprint memo: {memo_state}")
     if stats.gc is not None:
         print(
             f"gc: {stats.gc.get('collections', 0)} collection(s), "
@@ -745,6 +752,7 @@ def _cmd_cache_stats(
             "tmp_files": stats.tmp_files,
             "tmp_bytes": stats.tmp_bytes,
             "gc": stats.gc,
+            "fingerprint_memo": stats.fingerprint_memo,
             "by_experiment": stats.by_experiment,
         }
         path = _write_json(json_dir, "cache_stats.json", payload)

@@ -266,8 +266,15 @@ def symbol_digest(node: ast.stmt) -> str:
     return _sha256_of_dump(node)
 
 
-def _strip_body(node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-    node.body = [ast.Pass()]
+def _stripped(node: ast.stmt) -> ast.stmt:
+    """``node`` with a function's body replaced by ``pass``; any other
+    statement is returned as is.  The copy is shallow: the signature,
+    decorators and annotations are shared with ``node``, never edited."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node
+    stripped = copy.copy(node)
+    stripped.body = [ast.Pass()]
+    return stripped
 
 
 def import_time_digest(info: ModuleInfo) -> str:
@@ -280,13 +287,19 @@ def import_time_digest(info: ModuleInfo) -> str:
     Everything else (imports, constants, signatures, decorators,
     defaults, annotations, class-level assignments, opaquely-decorated
     classes in full) executes at import and stays in the digest.
+
+    ``info.tree`` is shared with :func:`symbol_digest` and with later
+    fingerprints, so it is never edited: only the module node and the
+    nodes whose body is replaced are (shallowly) copied.
     """
-    tree = copy.deepcopy(info.tree)
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _strip_body(stmt)
-        elif isinstance(stmt, ast.ClassDef) and not has_opaque_decorator(stmt):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    _strip_body(inner)
+    body: list[ast.stmt] = []
+    for stmt in info.tree.body:
+        if isinstance(stmt, ast.ClassDef) and not has_opaque_decorator(stmt):
+            cls = copy.copy(stmt)
+            cls.body = [_stripped(inner) for inner in stmt.body]
+            body.append(cls)
+        else:
+            body.append(_stripped(stmt))
+    tree = copy.copy(info.tree)
+    tree.body = body
     return _sha256_of_dump(tree)

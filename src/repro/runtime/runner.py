@@ -99,7 +99,7 @@ def execute(request: RunRequest) -> RunResponse:
 
         store = Cache(request.cache_dir)
         key = cache_key_for(
-            request.experiment_id, request.quick, request.seed
+            request.experiment_id, request.quick, request.seed, store
         )
         if request.cache == "auto":
             entry = store.get(key)

@@ -432,14 +432,15 @@ class ServeApp:
         loop = asyncio.get_running_loop()
         # cache_key_for validates the experiment id (404 via the
         # ExperimentError classification) and fingerprints the live
-        # code.  Both the fingerprint and the store probe below run on
-        # the default executor, not the event loop: a cold fingerprint
-        # walks and hashes a module closure, and the store probe does
+        # code through the store's fingerprint memo.  Both the
+        # fingerprint and the store probe below run on the default
+        # executor, not the event loop: a cold fingerprint walks and
+        # hashes a module closure, and the store probe does
         # blocking file I/O (entry read + record_hit sidecar write) —
         # done inline they would stall every connection, including
         # /v1/healthz, behind one slow disk.
         key = await loop.run_in_executor(
-            None, cache_key_for, experiment_id, quick, seed
+            None, cache_key_for, experiment_id, quick, seed, self.cache
         )
         if hint is not None and hint != key.digest:
             # The code changed under this key: the old digest can never

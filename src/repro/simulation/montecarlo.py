@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -56,6 +55,11 @@ class MCEstimate:
     def ci_halfwidth(self) -> float:
         if self.trials < 2:
             return float("inf")
+        # Imported here, its only use: ``scipy.stats`` takes about a
+        # second to import, and a process that builds no interval (a
+        # warm run, a daemon boot) should not pay for it.
+        from scipy import stats
+
         t = stats.t.ppf(0.5 + self.confidence / 2.0, df=self.trials - 1)
         return float(t) * self.stderr
 

@@ -188,3 +188,66 @@ class TestRealRegistry:
         second = fingerprint_module("repro.experiments.fig1_worst_case_profile")
         assert first.digest == second.digest
         assert first.modules == second.modules
+
+
+def reference_module_walk(module, root, prefix):
+    """The closure walk without memos: read, hash and parse every file
+    each time it is reached."""
+    import ast
+    import hashlib
+
+    from repro.cache.fingerprint import first_party_imports, module_path
+
+    seen = {}
+    stack = [module]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        path = module_path(current, root)
+        if path is None:
+            continue
+        source = path.read_text(encoding="utf-8")
+        seen[current] = normalized_source_digest(source)
+        parts = current.split(".")
+        stack.extend(".".join(parts[:i]) for i in range(1, len(parts)))
+        stack.extend(first_party_imports(ast.parse(source), current, prefix, root))
+    combined = hashlib.sha256()
+    for name in sorted(seen):
+        combined.update(f"{name}\x00{seen[name]}\x00".encode("utf-8"))
+    return combined.hexdigest()
+
+
+class TestModuleModeParsesOnce:
+    def test_every_experiment_matches_the_reference_walk(self, monkeypatch):
+        import ast
+        import functools
+        from pathlib import Path
+
+        import repro
+        from repro.cache import fingerprint
+        from repro.experiments.registry import EXPERIMENTS
+
+        root = Path(repro.__file__).resolve().parent.parent
+        modules = set()
+        for exp in EXPERIMENTS.values():
+            runner = exp.runner
+            while isinstance(runner, functools.partial):
+                runner = runner.func
+            modules.add(runner.__module__)
+        parses = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parses.append(1)
+            return real_parse(source, *args, **kwargs)
+
+        clear_fingerprint_caches()
+        monkeypatch.setattr(fingerprint.ast, "parse", counting_parse)
+        fps = {m: fingerprint_module(m) for m in sorted(modules)}
+        monkeypatch.undo()
+        # one parse per file in the union of the closures, not one per
+        # (closure, file) pair
+        assert len(parses) == len(set().union(*(f.modules for f in fps.values())))
+        for module, fp_ in fps.items():
+            assert fp_.digest == reference_module_walk(module, root, "repro"), module

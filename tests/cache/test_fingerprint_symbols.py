@@ -6,16 +6,21 @@ experiment-private helper invalidates only that experiment's entries —
 the other experiments' keys are untouched.
 """
 
+import json
 import textwrap
 
 import pytest
 
 from repro.cache.fingerprint import (
+    FINGERPRINT_MEMO,
     FingerprintError,
     clear_fingerprint_caches,
+    experiment_fingerprint,
+    fingerprint_memo_state,
     fingerprint_mode,
     fingerprint_module,
     fingerprint_symbols,
+    source_tree_digest,
 )
 from repro.cache.store import Cache, CacheKey
 from repro.runtime.artifact import RunArtifact
@@ -394,3 +399,153 @@ class TestThreadSafety:
             digests = list(pool.map(one, names))
         for name, digest in zip(names, digests):
             assert digest == reference[name].digest
+
+
+class TestFingerprintMemo:
+    """The memo in a store's ``.fingerprints.json``: a hit builds no
+    graph, any byte edit misses, and what it holds always equals a fresh
+    fingerprint."""
+
+    def lookup(self, tree, name, store):
+        return experiment_fingerprint(
+            f"pkg.{name}", memo_root=store, root=tree, prefix="pkg"
+        )
+
+    def memo(self, store):
+        return json.loads((store / FINGERPRINT_MEMO).read_text(encoding="utf-8"))
+
+    def fresh(self, tree, name):
+        clear_fingerprint_caches()
+        return fingerprint_symbols(f"pkg.{name}", root=tree, prefix="pkg").digest
+
+    def test_hit_after_clear_builds_no_graph(self, tree, tmp_path, monkeypatch):
+        from repro.devtools.analyze.callgraph import GraphBuilder
+
+        store = tmp_path / "store"
+        first = {name: self.lookup(tree, name, store) for name in ("exp_a", "exp_b")}
+        assert self.memo(store)["tree"] == source_tree_digest(tree, "pkg")
+        clear_fingerprint_caches()
+
+        def no_build(self, *args, **kwargs):
+            raise AssertionError("a memo hit must not build the graph")
+
+        monkeypatch.setattr(GraphBuilder, "build", no_build)
+        for name in ("exp_a", "exp_b"):
+            assert self.lookup(tree, name, store) == first[name]
+        monkeypatch.undo()
+        for name in ("exp_a", "exp_b"):
+            assert first[name] == self.fresh(tree, name)
+
+    def test_comment_only_edit_misses_with_same_digest(self, tree, tmp_path):
+        store = tmp_path / "store"
+        before = self.lookup(tree, "exp_a", store)
+        old_tree = self.memo(store)["tree"]
+        path = tree / "pkg" / "helper_a.py"
+        path.write_text(
+            "# reflowed\n" + path.read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        clear_fingerprint_caches()
+        assert self.lookup(tree, "exp_a", store) == before
+        # it missed: the memo was rewritten for the edited tree
+        assert self.memo(store)["tree"] != old_tree
+        assert self.memo(store)["tree"] == source_tree_digest(tree, "pkg")
+
+    def test_helper_edit_moves_only_its_experiment(self, tree, tmp_path):
+        store = tmp_path / "store"
+        before = {name: self.lookup(tree, name, store) for name in ("exp_a", "exp_b")}
+        write(
+            tree / "pkg" / "helper_a.py",
+            """
+            def only_a(x):
+                return x + 2
+            """,
+        )
+        clear_fingerprint_caches()
+        after = {name: self.lookup(tree, name, store) for name in ("exp_a", "exp_b")}
+        assert after["exp_a"] != before["exp_a"]
+        assert after["exp_b"] == before["exp_b"]
+        assert after == {name: self.fresh(tree, name) for name in after}
+
+    @pytest.mark.parametrize("kind", ["corrupt", "another-tree", "another-mode"])
+    def test_unusable_memo_is_ignored_and_rewritten(
+        self, tree, tmp_path, monkeypatch, kind
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        if kind == "corrupt":
+            (store / FINGERPRINT_MEMO).write_text("{not json", encoding="utf-8")
+        elif kind == "another-tree":
+            (store / FINGERPRINT_MEMO).write_text(
+                json.dumps({"tree": "0" * 64, "digests": {"pkg.exp_a:run": "f" * 64}}),
+                encoding="utf-8",
+            )
+        else:
+            monkeypatch.setenv("REPRO_CACHE_FINGERPRINT", "module")
+            module_digest = self.lookup(tree, "exp_a", store)
+            monkeypatch.delenv("REPRO_CACHE_FINGERPRINT")
+            assert module_digest != self.fresh(tree, "exp_a")
+        clear_fingerprint_caches()
+        digest = self.lookup(tree, "exp_a", store)
+        assert digest == self.fresh(tree, "exp_a")
+        assert self.memo(store) == {
+            "tree": source_tree_digest(tree, "pkg"),
+            "digests": {"pkg.exp_a:run": digest},
+        }
+
+    @pytest.mark.parametrize("failing", ["tempfile.mkstemp", "os.replace"])
+    def test_failed_write_costs_nothing_but_time(
+        self, tree, tmp_path, monkeypatch, failing
+    ):
+        store = tmp_path / "store"
+
+        def refuse(*args, **kwargs):
+            raise OSError("read-only store")
+
+        monkeypatch.setattr(failing, refuse)
+        digest = self.lookup(tree, "exp_a", store)
+        monkeypatch.undo()
+        assert digest == self.fresh(tree, "exp_a")
+        assert list(store.iterdir()) == []  # no memo, no .tmp-* debris
+
+    def test_sequential_writers_keep_each_others_entries(self, tree, tmp_path):
+        store = tmp_path / "store"
+        clear_fingerprint_caches()  # writer 1
+        a = self.lookup(tree, "exp_a", store)
+        clear_fingerprint_caches()  # writer 2, a new process
+        b = self.lookup(tree, "exp_b", store)
+        assert self.memo(store)["digests"] == {"pkg.exp_a:run": a, "pkg.exp_b:run": b}
+
+    def test_state_reads_current_stale_or_absent(self, tree, tmp_path):
+        store = tmp_path / "store"
+        def state():
+            return fingerprint_memo_state(store, root=tree, prefix="pkg")
+
+        assert state() == {"state": "absent", "fingerprints": 0}
+        self.lookup(tree, "exp_a", store)
+        self.lookup(tree, "exp_b", store)
+        assert state() == {"state": "current", "fingerprints": 2}
+        write(tree / "pkg" / "common.py", "def shared(x):\n    return -x\n")
+        clear_fingerprint_caches()
+        assert state() == {"state": "stale", "fingerprints": 2}
+
+
+class TestRealTreeMemo:
+    def test_memo_equals_fresh_fingerprints_for_every_experiment(self, tmp_path):
+        import functools
+
+        from repro.cache.store import cache_key_for
+        from repro.experiments.registry import EXPERIMENTS
+
+        store = Cache(tmp_path / "store")
+        clear_fingerprint_caches()
+        keys = {eid: cache_key_for(eid, True, 0, store) for eid in EXPERIMENTS}
+        clear_fingerprint_caches()
+        memo = json.loads((store.root / FINGERPRINT_MEMO).read_text(encoding="utf-8"))
+        assert memo["tree"] == source_tree_digest()
+        for eid, exp in EXPERIMENTS.items():
+            runner = exp.runner
+            while isinstance(runner, functools.partial):
+                runner = runner.func
+            fresh = fingerprint_symbols(runner.__module__, entry=runner.__name__)
+            assert memo["digests"][f"{runner.__module__}:{runner.__name__}"] == fresh.digest
+            assert keys[eid].fingerprint == fresh.digest

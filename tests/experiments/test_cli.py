@@ -282,6 +282,27 @@ class TestCacheCommands:
         assert main(["cache", "stats"]) == 0
         assert "temp debris: 1 file(s)" in capsys.readouterr().out
 
+    def test_stats_reports_fingerprint_memo(self, tmp_path, capsys):
+        import json
+
+        from repro.cache.fingerprint import FINGERPRINT_MEMO
+        from repro.cache.store import default_cache_dir
+
+        assert main(["cache", "stats"]) == 0
+        assert "fingerprint memo: absent" in capsys.readouterr().out
+        assert main(["run", "fig1"]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "stats"
+        assert main(["cache", "stats", "--json", str(out_dir)]) == 0
+        assert "fingerprint memo: current (1 fingerprint)" in capsys.readouterr().out
+        payload = json.loads((out_dir / "cache_stats.json").read_text())
+        assert payload["fingerprint_memo"] == {"state": "current", "fingerprints": 1}
+        (default_cache_dir() / FINGERPRINT_MEMO).write_text(
+            json.dumps({"tree": "0" * 64, "digests": {}}), encoding="utf-8"
+        )
+        assert main(["cache", "stats"]) == 0
+        assert "fingerprint memo: stale (another tree)" in capsys.readouterr().out
+
     def test_gc_dry_run_deletes_nothing(self, capsys):
         assert main(["run", "fig1"]) == 0
         capsys.readouterr()

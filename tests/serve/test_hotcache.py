@@ -217,7 +217,7 @@ class TestAppMemoryTier:
             fingerprint="0" * 64,
         )
 
-        def edited_key_for(experiment_id, quick, seed):
+        def edited_key_for(experiment_id, quick, seed, store=None):
             return edited
 
         monkeypatch.setattr("repro.serve.app.cache_key_for", edited_key_for)

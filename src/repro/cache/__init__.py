@@ -18,15 +18,12 @@ layers:
   :func:`~repro.profiles.worst_case.worst_case_profile`).
 
 :mod:`~repro.cache.verify` proves stored artifacts bit-identical (modulo
-timing) to live recomputation; :mod:`~repro.cache.bench` measures the
-cold-vs-warm payoff (``BENCH_cache.json``); :mod:`~repro.cache.history`
-accumulates those measurements into a longitudinal trend line with a
-regression check; :mod:`~repro.cache.gc` bounds the on-disk store
-(sidecar access records, LRU eviction under byte/entry/age budgets,
-``.tmp-*`` debris reaping, post-run auto-GC).  See ``docs/CACHE.md``.
+timing) to live recomputation; :mod:`~repro.cache.gc` bounds the
+on-disk store (sidecar access records, LRU eviction under
+byte/entry/age budgets, ``.tmp-*`` debris reaping, post-run auto-GC).
+See ``docs/CACHE.md``.
 """
 
-from repro.cache.bench import BENCH_SCHEMA_VERSION, run_cache_bench
 from repro.cache.gc import (
     DEFAULT_MAX_BYTES,
     AccessRecord,
@@ -37,14 +34,6 @@ from repro.cache.gc import (
     read_access_record,
     sidecar_path,
     write_access_record,
-)
-from repro.cache.history import (
-    HISTORY_SCHEMA_VERSION,
-    append_record,
-    check_regression,
-    empty_history,
-    load_history,
-    render_trend,
 )
 from repro.cache.fingerprint import (
     Fingerprint,
@@ -68,8 +57,6 @@ from repro.cache.store import (
 from repro.cache.verify import VerifyRecord, VerifyReport, verify_store
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "run_cache_bench",
     "DEFAULT_MAX_BYTES",
     "AccessRecord",
     "Eviction",
@@ -79,12 +66,6 @@ __all__ = [
     "read_access_record",
     "sidecar_path",
     "write_access_record",
-    "HISTORY_SCHEMA_VERSION",
-    "append_record",
-    "check_regression",
-    "empty_history",
-    "load_history",
-    "render_trend",
     "Fingerprint",
     "FingerprintError",
     "clear_fingerprint_caches",

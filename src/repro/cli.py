@@ -33,13 +33,12 @@ appears):
   identical in-flight misses onto one :class:`RunRequest` computation,
   applies ``--max-inflight`` backpressure (429), and drains cleanly on
   SIGTERM (``docs/SERVE.md``);
-* ``bench`` — benchmark suites: ``--suite cache`` (cold-vs-warm over
-  the registry; writes ``BENCH_cache.json``), ``--suite sim``
-  (scalar-vs-chunked simulator workloads; writes ``BENCH_sim.json``),
-  or ``--suite machine`` (scalar-vs-kernel trace-machine replays;
-  writes ``BENCH_machine.json``).  With ``--history``, appends a record
-  to the suite's longitudinal trend line and runs (and fails on) the
-  speedup regression check;
+* ``bench`` — time a fast path against its scalar reference and
+  check that both give the same result: ``--suite sim`` (the chunked
+  simulator; writes ``BENCH_sim.json``) or ``--suite machine`` (the
+  stack-distance trace kernel; writes ``BENCH_machine.json``).  With
+  ``--history``, appends a record to the suite's longitudinal trend
+  line and runs (and fails on) the speedup regression check;
 * ``lint`` — run the repo's AST-based invariant linter (RNG/units/
   float-equality/frozen-artifact/exports/profile discipline) over
   source trees; exit 1 on findings, for CI.  See ``docs/DEVTOOLS.md``.
@@ -292,51 +291,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="benchmark suites: cache (cold-vs-warm over the registry, "
-        "writes BENCH_cache.json), sim (scalar-vs-chunked simulator, "
-        "writes BENCH_sim.json), or machine (scalar-vs-kernel trace "
-        "replays, writes BENCH_machine.json)",
-    )
-    bench_p.add_argument(
-        "ids",
-        nargs="*",
-        default=None,
-        help="experiment ids to benchmark (cache suite only; "
-        "default: the full registry)",
+        help="time a fast path against its scalar reference: sim "
+        "(chunked simulator, writes BENCH_sim.json) or machine "
+        "(stack-distance trace kernel, writes BENCH_machine.json)",
     )
     bench_p.add_argument(
         "--suite",
-        choices=("cache", "sim", "machine"),
-        default="cache",
-        help="which benchmark to run: the cache cold-vs-warm suite, the "
-        "simulator scalar-vs-chunked suite, or the trace-machine "
-        "scalar-vs-kernel suite (default cache)",
+        choices=("sim", "machine"),
+        required=True,
+        help="which suite to run: the simulator scalar-vs-chunked suite "
+        "or the trace-machine scalar-vs-kernel suite",
     )
     _add_quick_full(bench_p, default_quick=True, what="small sweeps")
     _add_seed(bench_p)
-    bench_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for both passes (cache suite only; default 1)",
-    )
     bench_p.add_argument(
         "-o",
         "--output",
         default=None,
         help="where to write the benchmark report (default "
-        "BENCH_cache.json / BENCH_sim.json / BENCH_machine.json "
-        "per suite)",
+        "BENCH_<suite>.json)",
     )
     bench_p.add_argument(
         "--history",
         action="store_true",
         help="append this run as a record to the bench-history file at "
-        "OUTPUT (migrating a legacy single-record file), print the "
-        "trend line, and run the speedup regression check",
+        "OUTPUT, print the trend line, and run the speedup regression "
+        "check",
     )
-    _add_cache_dir(bench_p)
 
     serve_p = sub.add_parser(
         "serve",
@@ -902,67 +883,27 @@ def _cmd_cache_verify(
 
 
 def _cmd_bench(
-    ids: list[str] | None,
+    suite: str,
     quick: bool,
     seed: int,
-    jobs: int,
     output: str | None,
-    cache_dir: str | None,
     history: bool = False,
-    suite: str = "cache",
 ) -> int:
     import json
 
-    if suite == "sim":
-        from repro.simulation.bench import SIM_BENCHMARK_NAME, run_sim_bench
+    from repro.bench import (
+        SUITES,
+        append_record,
+        check_regression,
+        render_trend,
+        run_bench,
+    )
 
-        if ids:
-            print(
-                "error: the sim suite benchmarks fixed simulator "
-                "workloads, not registry ids",
-                file=sys.stderr,
-            )
-            return 2
-        payload = run_sim_bench(quick=quick, seed=seed)
-        benchmark = SIM_BENCHMARK_NAME
-        output = output or "BENCH_sim.json"
-    elif suite == "machine":
-        from repro.machine.bench import (
-            MACHINE_BENCHMARK_NAME,
-            run_machine_bench,
-        )
-
-        if ids:
-            print(
-                "error: the machine suite benchmarks fixed trace-machine "
-                "workloads, not registry ids",
-                file=sys.stderr,
-            )
-            return 2
-        payload = run_machine_bench(quick=quick, seed=seed)
-        benchmark = MACHINE_BENCHMARK_NAME
-        output = output or "BENCH_machine.json"
-    else:
-        from repro.cache.bench import run_cache_bench
-
-        payload = run_cache_bench(
-            quick=quick,
-            seed=seed,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            ids=ids or None,
-        )
-        benchmark = "cache-cold-vs-warm"
-        output = output or "BENCH_cache.json"
+    record = run_bench(suite, quick=quick, seed=seed)
+    output = output or f"BENCH_{suite}.json"
     regressed = False
     if history:
-        from repro.cache.history import (
-            append_record,
-            check_regression,
-            render_trend,
-        )
-
-        doc = append_record(output, payload, benchmark=benchmark)
+        doc = append_record(output, record)
         print(render_trend(doc))
         check = check_regression(doc)
         if check["status"] == "no-baseline":
@@ -982,38 +923,25 @@ def _cmd_bench(
         regressed = check["status"] == "regression"
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    speedup = payload["speedup"]
-    if suite in ("sim", "machine"):
-        fast_name = "chunked" if suite == "sim" else "kernel"
+    speedup = record["speedup"]
+    print(
+        f"{suite} bench: scalar {record['scalar_wall_time_s']:.2f}s, "
+        f"{SUITES[suite].fast} {record['chunked_wall_time_s']:.2f}s"
+        + (f", min speedup {speedup:.1f}x" if speedup else "")
+    )
+    for workload in record["workloads"]:
+        wsp = workload["speedup"]
         print(
-            f"{suite} bench: scalar {payload['scalar_wall_time_s']:.2f}s, "
-            f"{fast_name} {payload['chunked_wall_time_s']:.2f}s"
-            + (f", min speedup {speedup:.1f}x" if speedup else "")
+            f"  {workload['name']}: "
+            f"{workload['scalar_wall_time_s']:.2f}s -> "
+            f"{workload['chunked_wall_time_s']:.2f}s"
+            + (f" ({wsp:.1f}x)" if wsp else "")
         )
-        for workload in payload["workloads"]:
-            wsp = workload["speedup"]
-            print(
-                f"  {workload['name']}: "
-                f"{workload['scalar_wall_time_s']:.2f}s -> "
-                f"{workload['chunked_wall_time_s']:.2f}s"
-                + (f" ({wsp:.1f}x)" if wsp else "")
-            )
-        print(f"bit-identical: {payload['bit_identical']}")
-    else:
-        print(
-            f"cache bench: cold {payload['cold_wall_time_s']:.2f}s, "
-            f"warm {payload['warm_wall_time_s']:.2f}s"
-            + (f", speedup {speedup:.1f}x" if speedup else "")
-        )
-        print(
-            f"warm hits: "
-            f"{payload['warm_hits']}/{len(payload['experiments'])}, "
-            f"bit-identical: {payload['bit_identical']}"
-        )
+    print(f"bit-identical: {record['bit_identical']}")
     print(f"wrote {output}", file=sys.stderr)
-    return 0 if payload["bit_identical"] and not regressed else 1
+    return 0 if record["bit_identical"] and not regressed else 1
 
 
 def _cmd_lint(
@@ -1164,14 +1092,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "bench":
             return _cmd_bench(
-                args.ids,
+                args.suite,
                 args.quick,
                 args.seed,
-                args.jobs,
                 args.output,
-                args.cache_dir,
                 history=args.history,
-                suite=args.suite,
             )
         if args.command == "lint":
             return _cmd_lint(

@@ -4,8 +4,7 @@ Every experiment is a function ``run(quick=True, seed=0) -> RunArtifact``
 producing one or more printed tables (the paper has no numeric tables, so
 these tables *are* the reproduced artifacts) plus a verdict comparing the
 measured shape against the paper's claim.  ``quick`` trims problem sizes
-and trial counts so the whole suite runs in CI time; the benchmarks run
-the same code under pytest-benchmark.
+and trial counts so the whole suite runs in CI time.
 
 :class:`ExperimentResult` is the *builder* half of that contract: an
 experiment fills it table-by-table, then :meth:`ExperimentResult.finalize`

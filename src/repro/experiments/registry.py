@@ -4,7 +4,7 @@
 ``run(quick=True, seed=0) -> RunArtifact``.  The registry itself is pure
 dispatch; timing, instrumentation, parallel execution, and caching live
 in :mod:`repro.runtime.runner`, which the CLI (``python -m repro``), the
-benchmark suite, and the :mod:`repro.api` façade all share.
+daemon, and the :mod:`repro.api` façade all share.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Everything that *runs* experiments lives here: the schema-versioned
 run), the :class:`RunManifest` (the per-run summary with timings and
 speedup), per-run :mod:`instrumentation` counters, and the
 :class:`ExperimentRunner` / :func:`execute` execution path that the CLI,
-tests, and benchmarks all share.  See ``docs/ARTIFACTS.md``.
+the tests and the daemon all share.  See ``docs/ARTIFACTS.md``.
 
 The runner half of the package is exposed lazily: ``runner`` imports the
 experiment registry, which imports the experiment modules, which import

@@ -1,9 +1,9 @@
 """The experiment runner: one instrumented path for every execution.
 
-All consumers of the registry — the CLI, the test suite, the
-pytest-benchmark suite, and the ``repro serve`` daemon — drive
-experiments through this module, so timing, instrumentation, and
-artifact finalization can never drift between them.  The canonical
+All consumers of the registry — the CLI, the test suite and the
+``repro serve`` daemon — drive experiments through this module, so
+timing, instrumentation, and artifact finalization can never drift
+between them.  The canonical
 entry point is :func:`execute`, which takes one typed
 :class:`~repro.runtime.request.RunRequest` and returns a
 :class:`~repro.runtime.request.RunResponse`.

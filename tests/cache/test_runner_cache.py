@@ -1,5 +1,5 @@
-"""Integration tests: the cache wired through api.run/ExperimentRunner,
-store verification, and the cold-vs-warm benchmark."""
+"""Integration tests: the cache wired through api.run/ExperimentRunner
+and store verification."""
 
 import pytest
 
@@ -137,35 +137,6 @@ class TestVerifyStore:
             r.experiment_id for r in second.records
         ]
         assert first.checked == 2
-
-
-class TestCacheBench:
-    def test_cold_vs_warm_payload(self, tmp_path):
-        from repro.cache.bench import BENCH_SCHEMA_VERSION, run_cache_bench
-
-        payload = run_cache_bench(
-            quick=True, seed=0, cache_dir=str(tmp_path / "store"), ids=["fig1"]
-        )
-        assert payload["bench_schema_version"] == BENCH_SCHEMA_VERSION
-        assert payload["experiments"] == ["fig1"]
-        assert payload["warm_hits"] == 1
-        assert payload["bit_identical"] is True
-        assert payload["cold_wall_time_s"] > payload["warm_wall_time_s"]
-        assert payload["speedup"] > 1
-
-    def test_zero_experiments_is_loud(self, tmp_path):
-        # all() over zero cold/warm pairs would report bit_identical=True
-        # vacuously; the bench must refuse to emit that as evidence
-        from repro.cache.bench import run_cache_bench
-        from repro.errors import CacheError
-
-        with pytest.raises(CacheError):
-            run_cache_bench(
-                quick=True,
-                seed=0,
-                cache_dir=str(tmp_path / "store"),
-                ids=[],
-            )
 
 
 class TestManifestCacheAccounting:

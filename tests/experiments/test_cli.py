@@ -44,7 +44,7 @@ class TestParser:
             ["run", "fig1"],
             ["show-profile", "64"],
             ["solve", "--n", "64", "--dist", "point:16"],
-            ["bench"],
+            ["bench", "--suite", "sim"],
         ):
             with pytest.raises(SystemExit):
                 parser.parse_args([*sub, "--quick", "--full"])
@@ -76,10 +76,9 @@ class TestParser:
             parser.parse_args(["cache"])
 
     def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.ids == [] and args.output is None
-        assert args.suite == "cache"
-        assert args.quick and args.jobs == 1
+        args = build_parser().parse_args(["bench", "--suite", "sim"])
+        assert args.output is None  # BENCH_<suite>.json
+        assert args.quick and args.seed == 0
         assert args.history is False
 
     def test_bench_suite_flag(self):
@@ -87,7 +86,7 @@ class TestParser:
         assert args.suite == "sim"
 
     def test_bench_history_flag(self):
-        args = build_parser().parse_args(["bench", "fig1", "--history"])
+        args = build_parser().parse_args(["bench", "--suite", "sim", "--history"])
         assert args.history is True
 
     def test_cache_gc_flags(self):
@@ -213,48 +212,6 @@ class TestCacheCommands:
         assert main(["cache", "verify", "--sample", "0"]) == 0
         out = capsys.readouterr().out
         assert "1 checked, 0 mismatch(es)" in out
-
-    def test_bench_writes_report(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "BENCH_cache.json"
-        assert main(["bench", "fig1", "-o", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["bit_identical"] is True
-        assert payload["warm_hits"] == 1
-        assert "speedup" in capsys.readouterr().out
-
-    def test_bench_history_accumulates_and_checks_regression(
-        self, tmp_path, capsys
-    ):
-        # the acceptance scenario: two consecutive --history invocations
-        # append two records, and the second is checked against the first
-        import json
-
-        out_file = tmp_path / "BENCH_cache.json"
-        assert main(["bench", "fig1", "-o", str(out_file), "--history"]) == 0
-        first = capsys.readouterr().out
-        assert "no baseline yet (0 of 2 comparable prior record(s)" in first
-        assert main(["bench", "fig1", "-o", str(out_file), "--history"]) == 0
-        second = capsys.readouterr().out
-        payload = json.loads(out_file.read_text())
-        assert len(payload["records"]) == 2
-        assert "regression check:" in second
-        # one comparable predecessor is still below the min_records floor
-        assert "1 of 2 comparable prior record(s)" in second
-        assert "bench history (cache-cold-vs-warm)" in second  # trend table
-
-    def test_bench_history_migrates_legacy_file(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "BENCH_cache.json"
-        # a PR-3 single-record file already on disk
-        assert main(["bench", "fig1", "-o", str(out_file)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "fig1", "-o", str(out_file), "--history"]) == 0
-        payload = json.loads(out_file.read_text())
-        assert len(payload["records"]) == 2  # legacy record adopted
-        assert "regression check:" in capsys.readouterr().out
 
     def test_json_manifest_records_gc_counters(self, tmp_path, capsys):
         from repro.runtime import RunManifest

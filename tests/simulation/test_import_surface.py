@@ -3,7 +3,8 @@
 ``scipy.stats`` takes about a second to import.  A warm ``run all``
 and a daemon boot build no interval, so importing the registry, the
 daemon and the CLI must not load it; ``MCEstimate.ci_halfwidth``
-imports it on first use.
+imports it on first use.  Nor do they time a benchmark: ``repro.bench``
+is imported only by ``repro bench``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ def test_registry_daemon_and_cli_do_not_import_scipy_stats():
         "import sys\n"
         "import repro.experiments.registry, repro.serve.app, repro.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "assert 'repro.bench' not in sys.modules, 'repro.bench imported'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -5,12 +5,15 @@ into a schema-versioned :class:`~repro.runtime.artifact.RunArtifact`
 (the PR-2 contract); this package makes that purity pay rent.  Three
 layers:
 
-* :mod:`~repro.cache.fingerprint` — AST-normalized hashing of an
-  experiment module plus its transitive first-party imports, so a cache
-  entry survives comments and reformatting but not semantic edits;
+* :mod:`~repro.cache.fingerprint` — AST-normalized hashing of the code
+  an experiment can reach (its reachable symbols by default, its whole
+  first-party import closure under ``REPRO_CACHE_FINGERPRINT=module``),
+  so a cache entry survives comments and reformatting but not semantic
+  edits;
 * :mod:`~repro.cache.store` — the on-disk, content-addressed
-  :class:`Cache` of artifacts keyed by ``(experiment id, quick, seed,
-  code fingerprint, environment)``, consumed by
+  :class:`Cache` of artifacts, one file per entry, keyed by
+  ``(experiment id, quick, seed, code fingerprint, schema version, RNG
+  scheme, environment)``, consumed by
   ``execute(RunRequest(..., cache="auto"))``;
 * :mod:`~repro.cache.memo` — in-process keyed-LRU memoization (with
   ``cache_info()``) for hot pure kernels
@@ -18,22 +21,18 @@ layers:
   :func:`~repro.profiles.worst_case.worst_case_profile`).
 
 :mod:`~repro.cache.verify` proves stored artifacts bit-identical (modulo
-timing) to live recomputation; :mod:`~repro.cache.gc` bounds the
-on-disk store (sidecar access records, LRU eviction under
+timing and git revision) to live recomputation; :mod:`~repro.cache.gc`
+bounds the on-disk store (LRU eviction by each entry file's mtime under
 byte/entry/age budgets, ``.tmp-*`` debris reaping, post-run auto-GC).
 See ``docs/CACHE.md``.
 """
 
 from repro.cache.gc import (
     DEFAULT_MAX_BYTES,
-    AccessRecord,
     Eviction,
     GCBudget,
     GCReport,
     collect,
-    read_access_record,
-    sidecar_path,
-    write_access_record,
 )
 from repro.cache.fingerprint import (
     Fingerprint,
@@ -58,14 +57,10 @@ from repro.cache.verify import VerifyRecord, VerifyReport, verify_store
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
-    "AccessRecord",
     "Eviction",
     "GCBudget",
     "GCReport",
     "collect",
-    "read_access_record",
-    "sidecar_path",
-    "write_access_record",
     "Fingerprint",
     "FingerprintError",
     "clear_fingerprint_caches",

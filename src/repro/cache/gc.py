@@ -1,38 +1,27 @@
 """Budgeted garbage collection for the artifact store.
 
-PR 3 left the on-disk store unbounded: every ``(experiment, quick,
-seed, fingerprint, environment)`` combination ever computed stays on
-disk until someone runs ``repro cache clear``.  This module bounds it.
-Each entry gains a *sidecar access record* — a hidden
-``.meta-<digest>.json`` next to the entry, maintained best-effort by
-:meth:`Cache.put` / :meth:`Cache.get` — holding created/last-access
-timestamps, a hit count, and the entry's byte size.  The sidecar never
-touches the content-addressed entry payload, so stores written before
-this PR stay readable (a missing sidecar is synthesized from the entry
-file's mtime).
+Each store entry is one file whose mtime is its LRU clock:
+:meth:`Cache.put` writes the file, and a :meth:`Cache.get` hit
+refreshes its mtime with ``os.utime``.  Nothing else moves it — ``repro
+cache stats``, ``repro cache verify`` and ``Cache.iter_entries`` only
+read — which is why the clock is mtime and not atime: under
+``relatime`` a plain read can move atime.
 
 :func:`collect` evicts under a :class:`GCBudget` (``max_bytes`` /
-``max_entries`` / ``max_age_days`` / ``max_lifetime_days``) in LRU
-order with size awareness
+``max_entries`` / ``max_age_days``) in LRU order with size awareness
 (among equally-stale entries the larger one goes first), always reaping
-orphaned ``.tmp-*`` write debris and orphaned sidecars before counting
-live entries against the budget.  Cumulative counters persist in a
-hidden ``.gc-state.json`` at the store root so ``repro cache stats``
-and the run manifest can report what GC has done.
+orphaned ``.tmp-*`` write debris before counting live entries against
+the budget.  It inventories the entries with one ``stat`` each.
+Cumulative counters persist in a hidden ``.gc-state.json`` at the store
+root so ``repro cache stats`` and the run manifest can report what GC
+has done.
 
 Auto-GC: :func:`auto_collect` runs after every
 :class:`~repro.runtime.runner.ExperimentRunner` pass that touched the
 store, with budgets from ``REPRO_CACHE_MAX_BYTES`` (default 1 GiB; 0 or
-negative disables the byte budget), ``REPRO_CACHE_MAX_ENTRIES``,
-``REPRO_CACHE_MAX_AGE_DAYS``, and ``REPRO_CACHE_MAX_LIFETIME_DAYS``.
-Set ``REPRO_CACHE_GC=off`` to disable auto-GC entirely (explicit
-``repro cache gc`` still works).
-
-``max_age_days`` and ``max_lifetime_days`` differ in which timestamp
-they read: age is *last access* (idle entries expire; a warm hit
-resets the clock), lifetime is *creation* (an entry expires D days
-after its ``put`` no matter how often it keeps hitting — a hard
-freshness ceiling for long-lived CI caches).
+negative disables the byte budget), ``REPRO_CACHE_MAX_ENTRIES`` and
+``REPRO_CACHE_MAX_AGE_DAYS``.  Set ``REPRO_CACHE_GC=off`` to disable
+auto-GC entirely (explicit ``repro cache gc`` still works).
 
 Timestamps here are *civil* wall-clock time on purpose: they order
 events across processes and machine reboots, which monotonic clocks
@@ -46,43 +35,31 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.cache.lock import entry_lock, try_reap_lock
 from repro.errors import CacheError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.store import Cache
 
 __all__ = [
-    "SIDECAR_VERSION",
     "GC_STATE_VERSION",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_TMP_GRACE_S",
-    "AccessRecord",
     "GCBudget",
     "Eviction",
     "GCReport",
-    "sidecar_path",
-    "read_access_record",
-    "write_access_record",
-    "record_put",
-    "record_hit",
-    "buffered_access_records",
     "iter_debris",
-    "iter_lock_files",
     "prune_empty_shards",
     "collect",
     "auto_collect",
     "read_gc_state",
 ]
 
-SIDECAR_VERSION = 1
 GC_STATE_VERSION = 1
 
 #: Default byte budget for auto-GC when ``REPRO_CACHE_MAX_BYTES`` is unset.
@@ -98,239 +75,9 @@ _GC_OFF_VALUES = frozenset({"off", "0", "false", "no"})
 
 def _utcnow_s() -> float:
     """Current civil time as a UTC epoch timestamp (ordering only)."""
-    # GC age/lifetime policy is wall-clock by definition; timestamps
-    # steer eviction only and never reach cached payloads.
+    # GC age policy is wall-clock by definition; timestamps steer
+    # eviction only and never reach cached payloads.
     return datetime.now(timezone.utc).timestamp()  # repro-lint: disable=nondet-wallclock
-
-
-# -- sidecar access records ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    """Per-entry usage bookkeeping stored in the hidden sidecar file."""
-
-    created: float
-    last_access: float
-    hits: int
-    size_bytes: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sidecar_version": SIDECAR_VERSION,
-            "created": self.created,
-            "last_access": self.last_access,
-            "hits": self.hits,
-            "size_bytes": self.size_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AccessRecord":
-        try:
-            return cls(
-                created=float(payload["created"]),
-                last_access=float(payload["last_access"]),
-                hits=int(payload["hits"]),
-                size_bytes=int(payload["size_bytes"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheError(f"malformed sidecar payload: {exc}") from None
-
-
-def sidecar_path(entry_path: Path) -> Path:
-    """The hidden sidecar next to ``<shard>/<digest>.json``.
-
-    The leading dot keeps sidecars out of every ``*``-glob the store
-    uses for entries, so they can never be mistaken for entries (or be
-    discarded as corrupt ones)."""
-    return entry_path.parent / f".meta-{entry_path.name}"
-
-
-def read_access_record(entry_path: Path) -> AccessRecord | None:
-    """The sidecar record for ``entry_path``, or ``None`` when missing
-    or unreadable.  Corruption is tolerated, never fatal: the GC can
-    always synthesize a record from the entry file's stat."""
-    try:
-        payload = json.loads(
-            sidecar_path(entry_path).read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("sidecar_version") != SIDECAR_VERSION:
-        return None
-    try:
-        return AccessRecord.from_dict(payload)
-    except CacheError:
-        return None
-
-
-def write_access_record(entry_path: Path, record: AccessRecord) -> None:
-    """Atomically write ``record`` as ``entry_path``'s sidecar.
-
-    Uses the same ``.tmp-`` prefix as entry writes so a crashed sidecar
-    write is reaped by the same debris sweep.  Raises ``OSError`` on
-    failure; the best-effort wrappers below swallow it."""
-    target = sidecar_path(entry_path)
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh)
-            fh.write("\n")
-        os.replace(tmp, target)
-    except Exception:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _synthesized_record(entry_path: Path) -> AccessRecord | None:
-    """Access record inferred from the entry file alone (pre-GC stores,
-    lost or corrupt sidecars): created = last access = mtime, 0 hits."""
-    try:
-        st = entry_path.stat()
-    except OSError:
-        return None
-    return AccessRecord(
-        created=st.st_mtime,
-        last_access=st.st_mtime,
-        hits=0,
-        size_bytes=st.st_size,
-    )
-
-
-def record_put(entry_path: Path, now: float | None = None) -> None:
-    """Stamp a fresh sidecar after a ``put`` (best-effort: a failed
-    sidecar write must never fail the put that succeeded).
-
-    Inside :func:`buffered_access_records` the write is deferred: the
-    pending state for the entry is *replaced* (a put starts a fresh
-    record), and one coalesced sidecar lands at flush time."""
-    now = _utcnow_s() if now is None else now
-    if _BUFFER is not None:
-        _BUFFER.note_put(entry_path, now)
-        return
-    try:
-        size = entry_path.stat().st_size
-        write_access_record(
-            entry_path,
-            AccessRecord(
-                created=now, last_access=now, hits=0, size_bytes=size
-            ),
-        )
-    except OSError:
-        pass
-
-
-def record_hit(entry_path: Path, now: float | None = None) -> None:
-    """Bump the sidecar on a ``get`` hit (best-effort, like
-    :func:`record_put`); a missing/corrupt sidecar is re-synthesized.
-
-    Inside :func:`buffered_access_records` hits accumulate in memory and
-    one coalesced sidecar write happens at flush time."""
-    now = _utcnow_s() if now is None else now
-    if _BUFFER is not None:
-        _BUFFER.note_hit(entry_path, now)
-        return
-    record = read_access_record(entry_path) or _synthesized_record(entry_path)
-    if record is None:  # entry vanished under us (concurrent gc/clear)
-        return
-    try:
-        write_access_record(
-            entry_path,
-            replace(record, last_access=now, hits=record.hits + 1),
-        )
-    except OSError:
-        pass
-
-
-class _AccessBuffer:
-    """In-process pending sidecar updates: at most one disk write per
-    touched entry at flush, regardless of how many puts/hits landed."""
-
-    __slots__ = ("_pending",)
-
-    def __init__(self) -> None:
-        # entry path -> [put timestamp or None, buffered hits, last access]
-        self._pending: dict[Path, list[Any]] = {}
-
-    def note_put(self, entry_path: Path, now: float) -> None:
-        self._pending[entry_path] = [now, 0, now]
-
-    def note_hit(self, entry_path: Path, now: float) -> None:
-        state = self._pending.get(entry_path)
-        if state is None:
-            self._pending[entry_path] = [None, 1, now]
-        else:
-            state[1] += 1
-            state[2] = now
-
-    def flush(self) -> int:
-        """Write the coalesced sidecars; the number actually written.
-        Entries that vanished under the buffer (concurrent gc/clear)
-        are skipped, matching the unbuffered best-effort contract."""
-        written = 0
-        for entry_path, (put_now, hits, last) in self._pending.items():
-            if put_now is not None:
-                try:
-                    size = entry_path.stat().st_size
-                except OSError:
-                    continue  # entry vanished: nothing to describe
-                record = AccessRecord(
-                    created=put_now,
-                    last_access=last,
-                    hits=hits,
-                    size_bytes=size,
-                )
-            else:
-                base = read_access_record(entry_path) or _synthesized_record(
-                    entry_path
-                )
-                if base is None:
-                    continue
-                record = replace(
-                    base, last_access=last, hits=base.hits + hits
-                )
-            try:
-                write_access_record(entry_path, record)
-            except OSError:
-                continue
-            written += 1
-        self._pending.clear()
-        return written
-
-
-_BUFFER: _AccessBuffer | None = None
-
-
-@contextmanager
-def buffered_access_records() -> Iterator[None]:
-    """Defer sidecar writes for the duration of the block.
-
-    ``Cache.get``/``Cache.put`` inside the block update an in-memory
-    buffer instead of rewriting ``.meta-*.json`` per access; the block's
-    exit flushes one coalesced write per touched entry (even on error —
-    accesses that happened, happened).  Re-entrant: an inner block joins
-    the outer buffer, whose exit does the flush.  Per-process only — a
-    worker pool's processes each write immediately as before.
-    """
-    global _BUFFER
-    if _BUFFER is not None:
-        yield
-        return
-    # Scoped swap of the process-wide buffer slot: set on entry, always
-    # restored to None on exit — bookkeeping, not cached state.
-    _BUFFER = _AccessBuffer()  # repro-lint: disable=effect-global-mutation
-    try:
-        yield
-    finally:
-        buffer, _BUFFER = _BUFFER, None  # repro-lint: disable=effect-global-mutation
-        buffer.flush()
 
 
 # -- budgets ---------------------------------------------------------------
@@ -368,15 +115,13 @@ class GCBudget:
     max_bytes: int | None = DEFAULT_MAX_BYTES
     max_entries: int | None = None
     max_age_days: float | None = None
-    max_lifetime_days: float | None = None
     tmp_grace_s: float = DEFAULT_TMP_GRACE_S
 
     @classmethod
     def from_env(cls) -> "GCBudget":
         """Budgets from ``REPRO_CACHE_MAX_BYTES`` (default 1 GiB; <= 0
-        disables), ``REPRO_CACHE_MAX_ENTRIES``,
-        ``REPRO_CACHE_MAX_AGE_DAYS``, and
-        ``REPRO_CACHE_MAX_LIFETIME_DAYS`` (unset/<= 0 disables each)."""
+        disables), ``REPRO_CACHE_MAX_ENTRIES`` and
+        ``REPRO_CACHE_MAX_AGE_DAYS`` (unset/<= 0 disables each)."""
         max_bytes: int | None = _env_int("REPRO_CACHE_MAX_BYTES")
         if max_bytes is None:
             max_bytes = DEFAULT_MAX_BYTES
@@ -388,14 +133,10 @@ class GCBudget:
         max_age_days = _env_float("REPRO_CACHE_MAX_AGE_DAYS")
         if max_age_days is not None and max_age_days <= 0:
             max_age_days = None
-        max_lifetime_days = _env_float("REPRO_CACHE_MAX_LIFETIME_DAYS")
-        if max_lifetime_days is not None and max_lifetime_days <= 0:
-            max_lifetime_days = None
         return cls(
             max_bytes=max_bytes,
             max_entries=max_entries,
             max_age_days=max_age_days,
-            max_lifetime_days=max_lifetime_days,
         )
 
 
@@ -408,7 +149,7 @@ class Eviction:
 
     digest: str
     size_bytes: int
-    reason: str  # "lifetime" | "age" | "entries" | "bytes"
+    reason: str  # "age" | "entries" | "bytes"
 
 
 @dataclass(frozen=True)
@@ -446,16 +187,18 @@ class GCReport:
 
 @dataclass(frozen=True)
 class _Inventory:
-    """One live entry with its (possibly synthesized) access record."""
+    """One live entry: its last access (the file's mtime) and size."""
 
     path: Path
     digest: str
-    record: AccessRecord
+    last_access: float
+    size_bytes: int
 
 
 def iter_debris(root: Path) -> Iterator[Path]:
-    """Every ``.tmp-*`` file under the store (root level for state/
-    history writes, the ``ab/cd/`` shards for entry/sidecar writes).
+    """Every ``.tmp-*`` file under the store (root level for the GC
+    state and fingerprint memo writes, the ``ab/cd/`` shards for entry
+    writes).
     The hidden prefix is why the plain ``*``-globs elsewhere never see
     these."""
     if not root.is_dir():
@@ -463,20 +206,11 @@ def iter_debris(root: Path) -> Iterator[Path]:
     yield from sorted(chain(root.glob(".tmp-*"), root.glob("*/*/.tmp-*")))
 
 
-def iter_lock_files(root: Path) -> Iterator[Path]:
-    """Every per-entry ``.lock-*`` file in the store's shards.  Lock
-    files are never unlinked by their holders (see
-    :mod:`repro.cache.lock`), so the GC owns their whole reap path."""
-    if not root.is_dir():
-        return
-    yield from sorted(root.glob("*/*/.lock-*"))
-
-
 def prune_empty_shards(root: Path) -> None:
     """Remove the store's empty shard directories, ``ab/cd/`` before
     ``ab/``.  ``rmdir`` only succeeds on an empty directory, so this
-    never removes a file; a racing ``put`` recreates its shard
-    (:func:`repro.cache.lock.ensure_directory`)."""
+    never removes a file; a racing ``put`` recreates its shard and
+    retries (:meth:`repro.cache.store.Cache.put`)."""
     for shard in sorted(root.glob("*/*"), reverse=True) + sorted(
         root.glob("*"), reverse=True
     ):
@@ -485,30 +219,6 @@ def prune_empty_shards(root: Path) -> None:
                 shard.rmdir()
             except OSError:
                 pass
-
-
-def _iter_orphan_sidecars(root: Path) -> Iterator[Path]:
-    """Sidecars whose entry is gone (evicted/cleared by an older build,
-    or the entry write failed after the sidecar landed)."""
-    if not root.is_dir():
-        return
-    for sidecar in sorted(root.glob("*/*/.meta-*.json")):
-        entry = sidecar.parent / sidecar.name[len(".meta-"):]
-        if not entry.exists():
-            yield sidecar
-
-
-def _iter_orphan_locks(root: Path) -> Iterator[Path]:
-    """Lock files whose entry is gone — left behind by evictions or
-    clears.  Candidates only: the reap itself must still win the
-    non-blocking acquire (:func:`repro.cache.lock.try_reap_lock`), so a
-    lock protecting a put in flight is never considered orphaned
-    twice."""
-    from repro.cache.lock import LOCK_PREFIX
-
-    for lock_file in iter_lock_files(root):
-        if not (lock_file.parent / lock_file.name[len(LOCK_PREFIX):]).exists():
-            yield lock_file
 
 
 def _unlink_counted(path: Path) -> int:
@@ -530,14 +240,14 @@ def collect(
     """Bring ``cache`` under ``budget``; reap write debris first.
 
     Eviction order is LRU with size awareness: candidates sort by last
-    access (oldest first), then by size (largest first) among equal
-    timestamps, then by digest for determinism.
-    ``max_lifetime_days`` evictions (creation-time ceiling — hits do
-    not extend it) happen first, then ``max_age_days`` (last-access
-    staleness), then ``max_entries``, then ``max_bytes`` (each over
-    the survivors of the previous step).  ``dry_run`` counts
-    everything and deletes nothing.  Concurrent readers are safe: a
-    ``get`` racing an eviction sees an ordinary miss and recomputes.
+    access (the entry file's mtime, oldest first), then by size (largest
+    first) among equal timestamps, then by digest for determinism.
+    ``max_age_days`` evictions (last-access staleness) happen first,
+    then ``max_entries``, then ``max_bytes`` (each over the survivors of
+    the previous step).  ``dry_run`` counts everything and deletes
+    nothing.  Concurrent readers are safe: a ``get`` racing an eviction
+    sees an ordinary miss and recomputes, or keeps the entry it already
+    read.
     """
     budget = GCBudget() if budget is None else budget
     now = _utcnow_s() if now is None else now
@@ -557,9 +267,9 @@ def collect(
     if not root.is_dir():
         return empty
 
-    # 1. write debris: orphaned .tmp-* files past the grace window, plus
-    # sidecars whose entry is gone.  Reaped before budgets so debris can
-    # never crowd live entries out of the store.
+    # 1. write debris: orphaned .tmp-* files past the grace window.
+    # Reaped before budgets so debris can never crowd live entries out
+    # of the store.
     reaped_files = 0
     reaped_bytes = 0
     for tmp in iter_debris(root):
@@ -577,66 +287,48 @@ def collect(
         if size >= 0:
             reaped_files += 1
             reaped_bytes += size
-    for sidecar in _iter_orphan_sidecars(root):
-        if dry_run:
-            try:
-                reaped_bytes += sidecar.stat().st_size
-            except OSError:
-                continue
-            reaped_files += 1
-            continue
-        size = _unlink_counted(sidecar)
-        if size >= 0:
-            reaped_files += 1
-            reaped_bytes += size
 
-    # 2. inventory the live entries (no JSON parsing: GC trusts the
-    # layout, not the payloads — corrupt entries are get()'s problem).
+    # 2. inventory the live entries: one stat each, no JSON parsing (GC
+    # trusts the layout, not the payloads — corrupt entries are get()'s
+    # problem).
     items: list[_Inventory] = []
     for path in cache.iter_entry_paths():
-        record = read_access_record(path) or _synthesized_record(path)
-        if record is None:
+        try:
+            st = path.stat()
+        except OSError:
             continue  # vanished mid-walk
         items.append(
-            _Inventory(path=path, digest=path.stem, record=record)
+            _Inventory(
+                path=path,
+                digest=path.stem,
+                last_access=st.st_mtime,
+                size_bytes=st.st_size,
+            )
         )
     examined_entries = len(items)
-    examined_bytes = sum(it.record.size_bytes for it in items)
+    examined_bytes = sum(it.size_bytes for it in items)
 
     # 3. decide victims: oldest access first, larger first on ties.
-    items.sort(
-        key=lambda it: (
-            it.record.last_access,
-            -it.record.size_bytes,
-            it.digest,
-        )
-    )
+    items.sort(key=lambda it: (it.last_access, -it.size_bytes, it.digest))
     victims: list[tuple[_Inventory, str]] = []
     survivors = items
-    if budget.max_lifetime_days is not None:
-        cutoff = now - budget.max_lifetime_days * 86400.0
-        expired = [it for it in survivors if it.record.created < cutoff]
-        victims.extend((it, "lifetime") for it in expired)
-        survivors = [it for it in survivors if it.record.created >= cutoff]
     if budget.max_age_days is not None:
         cutoff = now - budget.max_age_days * 86400.0
-        expired = [it for it in survivors if it.record.last_access < cutoff]
+        expired = [it for it in survivors if it.last_access < cutoff]
         victims.extend((it, "age") for it in expired)
-        survivors = [
-            it for it in survivors if it.record.last_access >= cutoff
-        ]
+        survivors = [it for it in survivors if it.last_access >= cutoff]
     if budget.max_entries is not None:
         excess = len(survivors) - budget.max_entries
         if excess > 0:
             victims.extend((it, "entries") for it in survivors[:excess])
             survivors = survivors[excess:]
     if budget.max_bytes is not None:
-        surviving_bytes = sum(it.record.size_bytes for it in survivors)
+        surviving_bytes = sum(it.size_bytes for it in survivors)
         index = 0
         while surviving_bytes > budget.max_bytes and index < len(survivors):
             victim = survivors[index]
             victims.append((victim, "bytes"))
-            surviving_bytes -= victim.record.size_bytes
+            surviving_bytes -= victim.size_bytes
             index += 1
         survivors = survivors[index:]
 
@@ -644,31 +336,13 @@ def collect(
     evictions: list[Eviction] = []
     evicted_bytes = 0
     for item, reason in victims:
-        if not dry_run:
-            # Entry + sidecar go as one locked critical section.
-            with entry_lock(item.path):
-                size = _unlink_counted(item.path)
-                if size < 0:
-                    continue  # a concurrent clear/gc got there first
-                try:
-                    sidecar_path(item.path).unlink()
-                except OSError:
-                    pass
+        if not dry_run and _unlink_counted(item.path) < 0:
+            continue  # a concurrent clear/gc got there first
         evictions.append(
-            Eviction(
-                digest=item.digest,
-                size_bytes=item.record.size_bytes,
-                reason=reason,
-            )
+            Eviction(digest=item.digest, size_bytes=item.size_bytes, reason=reason)
         )
-        evicted_bytes += item.record.size_bytes
+        evicted_bytes += item.size_bytes
     if not dry_run:
-        # Reap orphaned lock files — pre-existing ones and the ones the
-        # evictions above just orphaned.  Uncounted: locks are empty
-        # coordination files, not cached bytes, and counting them would
-        # make the debris counters depend on locking history.
-        for lock_file in _iter_orphan_locks(root):
-            try_reap_lock(lock_file)
         prune_empty_shards(root)
 
     report = GCReport(
@@ -681,7 +355,7 @@ def collect(
         reaped_tmp_files=reaped_files,
         reaped_tmp_bytes=reaped_bytes,
         surviving_entries=len(survivors),
-        surviving_bytes=sum(it.record.size_bytes for it in survivors),
+        surviving_bytes=sum(it.size_bytes for it in survivors),
         evictions=tuple(evictions),
     )
     if not dry_run:

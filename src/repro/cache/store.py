@@ -1,32 +1,34 @@
 """Content-addressed on-disk store of experiment artifacts.
 
 The store maps a :class:`CacheKey` — the *complete* identity of a run:
-experiment id, ``quick``/``seed`` configuration, the AST-normalized code
-fingerprint of the experiment's transitive first-party import closure,
-the artifact schema version, and the interpreter/numpy/scipy versions —
+experiment id, ``quick``/``seed`` configuration, the AST-normalized
+fingerprint of the code the experiment runs, the artifact schema
+version, the RNG scheme, and the interpreter/numpy/scipy versions —
 to the finalized :class:`~repro.runtime.artifact.RunArtifact` that run
 produced.  Because every experiment is a pure function of ``(quick,
 seed)`` (the PR-2 determinism contract), two runs with equal keys are
 bit-identical modulo timing, so a warm hit can stand in for live
 recomputation and ``repro cache verify`` can check the substitution.
 
-Layout: ``<root>/<digest[:2]>/<digest[2:4]>/<digest>.json``, one JSON
-document per entry, written atomically (temp file + ``os.replace``)
-under a per-entry advisory lock (:mod:`repro.cache.lock`) so the entry
-and its sidecar move together even with many concurrent writers — the
-regime the ``repro serve`` daemon lives in.  The two-level fan-out
-bounds directory width at 256 either level, which keeps shard scans flat
-for stores holding hundreds of thousands of entries.  It is the only
-layout: any other file under the root is foreign, and the store never
-reads, counts, evicts, or removes it.
+Layout: ``<root>/<digest[:2]>/<digest[2:4]>/<digest>.json``, one file
+per entry and nothing beside it: the file's own mtime is the entry's
+access record.  :meth:`Cache.put` writes the file (temp file +
+``os.replace``), so its mtime is when it was stored; a :meth:`Cache.get`
+hit refreshes it with ``os.utime``, so its mtime is its last access.
+Every write is one atomic rename and every removal one ``unlink``, so
+concurrent readers, writers and GC passes — the regime the ``repro
+serve`` daemon lives in — each see a whole entry or none.  The
+two-level fan-out bounds directory width at 256 either level, which
+keeps shard scans flat for stores holding hundreds of thousands of
+entries.  It is the only layout: any other file under the root is
+foreign, and the store never reads, counts, evicts, or removes it.
 
 Corrupt or unreadable entries are treated as misses, never as errors: a
 cache must degrade to recomputation, not take the run down with it.
 
-The store is *bounded*: every entry carries a hidden sidecar access
-record (``.meta-<digest>.json``, maintained by :meth:`Cache.get` /
-:meth:`Cache.put`) and :meth:`Cache.gc` evicts under byte/entry/age
-budgets in LRU order — see :mod:`repro.cache.gc` and ``docs/CACHE.md``.
+The store is *bounded*: :meth:`Cache.gc` evicts under byte/entry/age
+budgets, oldest mtime first — see :mod:`repro.cache.gc` and
+``docs/CACHE.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from repro.cache.lock import ensure_directory, entry_lock
 from repro.errors import ArtifactError, CacheError
 from repro.runtime.artifact import SCHEMA_VERSION, RunArtifact
 from repro.util.rng import RNG_SCHEME
@@ -60,6 +61,11 @@ __all__ = [
 ]
 
 CACHE_ENTRY_VERSION = 1
+
+#: Bound on :func:`_open_temp`'s retries: more than a handful in a row
+#: would be a pathological prune storm, and failing loudly beats
+#: spinning forever.
+_OPEN_ATTEMPTS = 64
 
 
 def default_cache_dir() -> Path:
@@ -225,14 +231,37 @@ def _is_digest_name(name: str) -> bool:
     return all(c in "0123456789abcdef" for c in stem)
 
 
+def _open_temp(directory: Path) -> tuple[int, str]:
+    """``mkdir -p`` + ``mkstemp`` for one entry write into ``directory``.
+
+    A concurrent GC prunes shard directories while they are empty, so
+    the shard can vanish after the ``mkdir`` (``mkstemp`` then raises
+    ``FileNotFoundError``) or inside it (pathlib's ``exist_ok`` re-check
+    raises ``FileExistsError`` for a directory that is gone).  The prune
+    only removes *empty* directories, so retrying converges, and once
+    the temp file exists the shard is no longer empty."""
+    for _ in range(_OPEN_ATTEMPTS):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(
+                dir=directory, prefix=".tmp-", suffix=".json"
+            )
+        except (FileNotFoundError, FileExistsError):
+            continue
+    raise CacheError(
+        f"cannot create a cache entry in {directory}: the directory "
+        f"vanished {_OPEN_ATTEMPTS} times in a row"
+    )
+
+
 class Cache:
     """The content-addressed artifact store (``repro.api.Cache``).
 
     ``root=None`` resolves via :func:`default_cache_dir`.  All methods
     are safe on a store that does not exist yet; ``put`` creates it.
-    Writes (``put``, eviction, corrupt-entry discard) hold
-    the entry's advisory lock so concurrent writers — pool workers, the
-    serve daemon, a GC pass — can share one store (``docs/CACHE.md``).
+    Each entry is one file, written by one rename and removed by one
+    unlink, so concurrent writers — pool workers, the serve daemon, a GC
+    pass — can share one store without locks (``docs/CACHE.md``).
     """
 
     def __init__(self, root: "str | os.PathLike[str] | None" = None):
@@ -253,19 +282,22 @@ class Cache:
     def get(self, key: CacheKey) -> CacheEntry | None:
         """The stored entry for ``key``, or ``None`` on miss.
 
-        A corrupt, unparsable, or mismatched entry is a miss (and is
-        unlinked so it cannot shadow a future put).  That stays true on
-        a store ``get`` cannot write to (a read-only mount, e.g. a
-        shared CI cache): the discard is best-effort, never an error."""
+        A hit refreshes the entry file's mtime, the LRU clock GC evicts
+        by.  A corrupt, unparsable, or mismatched entry is a miss (and
+        is unlinked so it cannot shadow a future put).  Both writes are
+        best-effort: on a store ``get`` cannot write to (a read-only
+        mount, e.g. a shared CI cache) a good entry still hits, a
+        corrupt one is a plain miss, and ``get`` never raises."""
         entry = self._load(self.canonical_path(key.digest))
         if entry is None:
             return None
         if entry.key != key:  # hash collision or tampering: distrust it
             self._discard(entry.path)
             return None
-        from repro.cache.gc import record_hit
-
-        record_hit(entry.path)
+        try:
+            os.utime(entry.path)
+        except OSError:
+            pass  # evicted since the read, or a read-only store
         return entry
 
     def _load(self, path: Path) -> CacheEntry | None:
@@ -296,24 +328,12 @@ class Cache:
         return CacheEntry(key=key, artifact=artifact, path=path)
 
     def _discard(self, path: Path) -> None:
-        """Remove ``path`` and its sidecar as one locked critical
-        section, so a concurrent put can never interleave into a state
-        where the sidecar survives its entry.
-
-        Best-effort end to end: acquiring the lock creates the lock
-        file (and possibly the shard directory), which a read-only
-        store forbids — ``get`` must answer a miss there, not raise."""
-        from repro.cache.gc import sidecar_path
-
+        """Unlink a dead entry, best-effort: on a read-only store ``get``
+        must answer a miss, not raise."""
         try:
-            with entry_lock(path):
-                for stale in (path, sidecar_path(path)):
-                    try:
-                        stale.unlink()
-                    except OSError:
-                        pass
+            path.unlink()
         except OSError:
-            pass  # cannot lock (read-only store): leave the entry be
+            pass
 
     # -- write ---------------------------------------------------------
     def put(self, key: CacheKey, artifact: RunArtifact) -> Path:
@@ -321,10 +341,7 @@ class Cache:
 
         The artifact is stored in canonical live form — cache bookkeeping
         fields cleared — so a future hit compares bit-identically against
-        live recomputation.  The entry rename and its sidecar stamp
-        happen under the entry's advisory lock: concurrent writers
-        serialize per digest, so a racing put/GC pair can no longer
-        orphan a ``.meta-*`` sidecar."""
+        live recomputation."""
         canonical = artifact.without_cache_stamp()
         payload = {
             "cache_entry_version": CACHE_ENTRY_VERSION,
@@ -332,32 +349,25 @@ class Cache:
             "artifact": canonical.to_dict(),
         }
         path = self.path_for(key)
-        ensure_directory(path.parent)
-        from repro.cache.gc import record_put
-
-        with entry_lock(path):
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
+        fd, tmp = _open_temp(path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except Exception as exc:
+            # Cleanup must cover *every* failure: json.dump raising a
+            # non-OSError (e.g. TypeError on an unserializable value)
+            # would otherwise strand the mkstemp file as .tmp-* debris.
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2)
-                    fh.write("\n")
-                os.replace(tmp, path)
-            except Exception as exc:
-                # Cleanup must cover *every* failure: json.dump raising a
-                # non-OSError (e.g. TypeError on an unserializable value)
-                # would otherwise strand the mkstemp file as .tmp-* debris.
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                if isinstance(exc, OSError):
-                    raise CacheError(
-                        f"cannot write cache entry {path}: {exc}"
-                    ) from None
-                raise
-            record_put(path)
+                os.unlink(tmp)
+            except OSError:
+                pass
+            if isinstance(exc, OSError):
+                raise CacheError(
+                    f"cannot write cache entry {path}: {exc}"
+                ) from None
+            raise
         return path
 
     # -- maintenance ---------------------------------------------------
@@ -365,11 +375,11 @@ class Cache:
         """Every entry *file* (``ab/cd/<digest>.json``), in stable
         (digest) order, without parsing.  The filters are load-bearing:
         pathlib's ``*``-glob matches dotfiles (unlike the ``glob``
-        module), so without them ``.tmp-*`` write debris, ``.meta-*``
-        sidecars, and ``.lock-*`` files would be picked up and
-        mis-discarded as corrupt entries.  A digest-named file outside
-        its own shard is foreign too, so every path yielded here is its
-        digest's canonical path."""
+        module), so without them ``.tmp-*`` write debris and any other
+        hidden file in a shard would be picked up and mis-discarded as
+        a corrupt entry.  A digest-named file outside its own shard is
+        foreign too, so every path yielded here is its digest's
+        canonical path."""
         if not self.root.is_dir():
             return
         for path in sorted(self.root.glob("*/*/*.json")):
@@ -431,8 +441,9 @@ class Cache:
     ) -> "GCReport":
         """Collect garbage under ``budget`` (default: the environment
         budgets — see :class:`repro.cache.gc.GCBudget`).  Reaps orphaned
-        ``.tmp-*`` debris, then evicts LRU-first under the byte/entry/
-        age limits.  ``dry_run`` reports without deleting."""
+        ``.tmp-*`` debris, then evicts LRU-first (oldest mtime) under
+        the byte/entry/age limits.  ``dry_run`` reports without
+        deleting."""
         from repro.cache.gc import GCBudget, collect
 
         return collect(
@@ -442,17 +453,11 @@ class Cache:
         )
 
     def clear(self) -> int:
-        """Remove every entry (plus sidecars, ``.tmp-*`` write debris,
-        and unheld ``.lock-*`` files); returns how many *entries* were
-        removed.  Leaves the root directory (and any foreign files in
-        it) alone."""
-        from repro.cache.gc import (
-            iter_debris,
-            iter_lock_files,
-            prune_empty_shards,
-            sidecar_path,
-        )
-        from repro.cache.lock import try_reap_lock
+        """Remove every entry and all ``.tmp-*`` write debris; returns
+        how many *entries* were removed.  Leaves the root directory, its
+        ``.gc-state.json`` and fingerprint memo, and any foreign files
+        in it alone."""
+        from repro.cache.gc import iter_debris, prune_empty_shards
 
         removed = 0
         if not self.root.is_dir():
@@ -463,16 +468,10 @@ class Cache:
                 removed += 1
             except OSError:
                 pass
-            try:
-                sidecar_path(path).unlink()
-            except OSError:
-                pass
         for debris in iter_debris(self.root):
             try:
                 debris.unlink()
             except OSError:
                 pass
-        for lock_file in iter_lock_files(self.root):
-            try_reap_lock(lock_file)
         prune_empty_shards(self.root)
         return removed

@@ -3,7 +3,8 @@
 ``repro cache verify`` samples entries from the store, re-runs each
 sampled experiment live (``cache="off"``), and compares the stored
 artifact against the fresh one under :meth:`RunArtifact.without_timing`
-— the bit-identity contract modulo wall time and cache bookkeeping.
+with ``git_revision`` cleared — the bit-identity contract modulo wall
+time, cache bookkeeping, and which commit wrote the entry.
 Entries whose code fingerprint no longer matches the current tree are
 *stale*: they cannot be compared against a live run of different code,
 so they are reported but never counted as failures (a future ``auto``
@@ -16,7 +17,7 @@ stored twin exactly when the serialized evidence agrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.util.rng import as_generator
@@ -65,7 +66,12 @@ class VerifyReport:
 
 
 def _canonical(artifact) -> str:
-    return artifact.without_timing().to_json()
+    """The evidence a stored entry must share with a live run.
+
+    ``git_revision`` is provenance, not evidence: an entry stored one
+    commit earlier, or on an uncommitted tree, still holds a valid
+    result for every key it matches."""
+    return replace(artifact.without_timing(), git_revision=None).to_json()
 
 
 def verify_store(

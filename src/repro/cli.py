@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_dir(clear_p)
     gc_p = cache_sub.add_parser(
         "gc",
-        help="reap .tmp-* write debris and evict LRU-first under "
+        help="reap .tmp-* write debris and evict least recently used "
+        "entries (oldest file mtime; a hit refreshes it) under "
         "byte/entry/age budgets (defaults from REPRO_CACHE_MAX_*)",
     )
     _add_cache_dir(gc_p)
@@ -237,15 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="D",
         help="evict entries not accessed for D days (default: "
         "$REPRO_CACHE_MAX_AGE_DAYS, else unlimited; <= 0 disables)",
-    )
-    gc_p.add_argument(
-        "--max-lifetime-days",
-        type=float,
-        default=None,
-        metavar="D",
-        help="evict entries created more than D days ago, hits "
-        "notwithstanding (default: $REPRO_CACHE_MAX_LIFETIME_DAYS, "
-        "else unlimited; <= 0 disables)",
     )
     gc_p.add_argument(
         "--tmp-grace-s",
@@ -786,7 +778,6 @@ def _cmd_cache_gc(
     dry_run: bool,
     fail_on_debris: bool,
     json_dir: str | None = None,
-    max_lifetime_days: float | None = None,
 ) -> int:
     import dataclasses
 
@@ -805,13 +796,6 @@ def _cmd_cache_gc(
     if max_age_days is not None:
         budget = dataclasses.replace(
             budget, max_age_days=max_age_days if max_age_days > 0 else None
-        )
-    if max_lifetime_days is not None:
-        budget = dataclasses.replace(
-            budget,
-            max_lifetime_days=(
-                max_lifetime_days if max_lifetime_days > 0 else None
-            ),
         )
     if tmp_grace_s is not None:
         budget = dataclasses.replace(budget, tmp_grace_s=max(tmp_grace_s, 0.0))
@@ -1073,7 +1057,6 @@ def main(argv: list[str] | None = None) -> int:
                     args.dry_run,
                     args.fail_on_debris,
                     json_dir=args.json_dir,
-                    max_lifetime_days=args.max_lifetime_days,
                 )
             if args.cache_command == "verify":
                 return _cmd_cache_verify(

@@ -22,11 +22,25 @@ def repro_version() -> str:
 
 @lru_cache(maxsize=1)
 def git_revision() -> str | None:
-    """Short git revision of the source tree, or ``None`` when the
+    """Short git revision of the source tree, with ``-dirty`` appended
+    when tracked files differ from that revision, or ``None`` when the
     package runs outside a git checkout (installed wheel, sdist)."""
+    revision = _git("rev-parse", "--short", "HEAD")
+    if not revision:
+        return None
+    # --no-optional-locks: asking for the status must not rewrite the
+    # index, which another git process in the checkout may hold.
+    if _git("--no-optional-locks", "status", "--porcelain", "--untracked-files=no"):
+        revision += "-dirty"
+    return revision
+
+
+def _git(*args: str) -> str | None:
+    """Stripped stdout of ``git <args>`` run beside this module, or
+    ``None`` when git is missing, fails, or times out."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
@@ -36,5 +50,4 @@ def git_revision() -> str | None:
         return None
     if proc.returncode != 0:
         return None
-    revision = proc.stdout.strip()
-    return revision or None
+    return proc.stdout.strip()

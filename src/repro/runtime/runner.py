@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -192,8 +191,8 @@ class ExperimentRunner:
     a :class:`RunnerPool` and yields results in submission order, so
     rendered output is byte-identical at any worker count.  ``cache`` and
     ``cache_dir`` are stamped into every :class:`RunRequest` (each
-    worker opens the store independently; puts are atomic and
-    entry-locked so concurrent writers are safe).  After a
+    worker opens the store independently; each put is one atomic
+    rename, so concurrent writers are safe).  After a
     cache-touching pass the store is garbage-collected under the
     environment budgets (see :meth:`_auto_gc` and ``docs/CACHE.md``),
     so it stays bounded without manual ``repro cache clear`` runs.
@@ -239,9 +238,8 @@ class ExperimentRunner:
         targets = _resolve_ids(ids)
         requests = [self.request_for(eid, quick, seed) for eid in targets]
         if self.jobs == 1 or len(targets) <= 1:
-            with self._sidecar_buffer():
-                for request in requests:
-                    yield execute(request)
+            for request in requests:
+                yield execute(request)
         else:
             workers = min(self.jobs, len(targets))
             with RunnerPool(workers) as pool:
@@ -249,20 +247,6 @@ class ExperimentRunner:
                 for future in futures:
                     yield future.result()
         self._auto_gc()
-
-    def _sidecar_buffer(self):
-        """Coalesce per-access sidecar rewrites into one flush per pass.
-
-        In-process runs buffer the ``.meta-*.json`` access records and
-        write each touched entry's sidecar once when the pass ends
-        (before :meth:`_auto_gc`, which reads them).  Pool workers
-        (``jobs > 1``) keep the immediate per-access writes — the buffer
-        is process-local and cannot see their accesses."""
-        if self.cache == "off":
-            return nullcontext()
-        from repro.cache.gc import buffered_access_records
-
-        return buffered_access_records()
 
     def _auto_gc(self) -> None:
         """Bound the artifact store after a run that touched it.

@@ -436,7 +436,7 @@ class ServeApp:
         # fingerprint and the store probe below run on the default
         # executor, not the event loop: a cold fingerprint walks and
         # hashes a module closure, and the store probe does
-        # blocking file I/O (entry read + record_hit sidecar write) —
+        # blocking file I/O (entry read + the hit's mtime stamp) —
         # done inline they would stall every connection, including
         # /v1/healthz, behind one slow disk.
         key = await loop.run_in_executor(

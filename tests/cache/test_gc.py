@@ -1,23 +1,16 @@
 """Unit tests for the budgeted artifact-store GC (repro.cache.gc)."""
 
-import json
 import os
-import threading
 
 import pytest
 
 from repro.cache.gc import (
     DEFAULT_MAX_BYTES,
-    AccessRecord,
     GCBudget,
     auto_collect,
-    buffered_access_records,
     collect,
     iter_debris,
-    read_access_record,
     read_gc_state,
-    sidecar_path,
-    write_access_record,
 )
 from repro.cache.store import Cache, CacheKey
 from repro.errors import CacheError
@@ -50,170 +43,44 @@ def make_key(**overrides) -> CacheKey:
     return CacheKey(**base)
 
 
-def put_aged(store, seed, last_access, size_bytes=None):
-    """Put one entry and pin its sidecar to an explicit access record,
-    so eviction order is deterministic regardless of real clock time."""
+def put_aged(store, seed, last_access, padding=0):
+    """Put one entry and pin its mtime (its LRU clock) to
+    ``last_access``, so eviction order is deterministic regardless of
+    real clock time.  ``padding`` extra claim characters make the entry
+    that many bytes larger than its unpadded siblings."""
     key = make_key(seed=seed)
-    path = store.put(key, make_artifact(seed=seed))
-    if size_bytes is None:
-        size_bytes = path.stat().st_size
-    write_access_record(
-        path,
-        AccessRecord(
-            created=last_access,
-            last_access=last_access,
-            hits=0,
-            size_bytes=size_bytes,
-        ),
-    )
+    path = store.put(key, make_artifact(seed=seed, claim="C" * (1 + padding)))
+    os.utime(path, (last_access, last_access))
     return key, path
 
 
-class TestSidecars:
-    def test_put_writes_hidden_sidecar(self, tmp_path):
+class TestAccessClock:
+    """One file per entry, and its mtime is its LRU clock: a put sets
+    it, a hit moves it, and nothing that only reads the store does."""
+
+    def test_put_leaves_exactly_one_file_in_its_shard(self, tmp_path):
         store = Cache(tmp_path / "store")
         path = store.put(make_key(), make_artifact())
-        meta = sidecar_path(path)
-        assert meta.name.startswith(".")
-        record = read_access_record(path)
-        assert record is not None
-        assert record.hits == 0
-        assert record.size_bytes == path.stat().st_size
-        assert record.created == record.last_access
+        assert list(path.parent.iterdir()) == [path]
 
-    def test_get_bumps_hits_and_last_access(self, tmp_path):
+    def test_hit_moves_mtime_forward_and_keeps_bytes(self, tmp_path):
         store = Cache(tmp_path / "store")
-        key = make_key()
-        path = store.put(key, make_artifact())
-        before = read_access_record(path)
+        key, path = put_aged(store, 0, NOW)
+        payload = path.read_bytes()
         assert store.get(key) is not None
-        assert store.get(key) is not None
-        after = read_access_record(path)
-        assert after.hits == before.hits + 2
-        assert after.last_access >= before.last_access
-        assert after.created == before.created
+        assert path.stat().st_mtime > NOW
+        assert path.read_bytes() == payload
 
-    def test_sidecar_invisible_to_entry_iteration(self, tmp_path):
+    def test_reads_leave_mtime_alone(self, tmp_path):
+        # The clock is mtime, not atime: under relatime a plain read can
+        # move atime, and stats/verify/iteration must not reorder LRU.
         store = Cache(tmp_path / "store")
-        store.put(make_key(), make_artifact())
-        paths = list(store.iter_entry_paths())
-        assert len(paths) == 1
-        assert not paths[0].name.startswith(".")
-        # and iterating entries must not destroy the sidecar
-        assert len(list(store.iter_entries())) == 1
-        assert read_access_record(paths[0]) is not None
-
-    def test_corrupt_sidecar_tolerated(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        path = store.put(key, make_artifact())
-        sidecar_path(path).write_text("{broken", encoding="utf-8")
-        assert read_access_record(path) is None
-        # get still hits and re-synthesizes the record
-        assert store.get(key) is not None
-        assert read_access_record(path) is not None
-
-    def test_unknown_sidecar_version_ignored(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        path = store.put(make_key(), make_artifact())
-        payload = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-        payload["sidecar_version"] = 99
-        sidecar_path(path).write_text(json.dumps(payload), encoding="utf-8")
-        assert read_access_record(path) is None
-
-    def test_missing_sidecar_synthesized_by_gc(self, tmp_path):
-        # a pre-GC store has entries but no sidecars; collect must still
-        # inventory them (from mtime) instead of skipping or crashing
-        store = Cache(tmp_path / "store")
-        path = store.put(make_key(), make_artifact())
-        sidecar_path(path).unlink()
-        report = collect(store, GCBudget(max_bytes=None), now=NOW)
-        assert report.examined_entries == 1
-        assert report.surviving_entries == 1
-
-
-class TestBufferedAccessRecords:
-    def test_writes_deferred_until_flush(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        with buffered_access_records():
-            path = store.put(key, make_artifact())
-            assert read_access_record(path) is None  # nothing on disk yet
-            assert store.get(key) is not None
-            assert store.get(key) is not None
-            assert read_access_record(path) is None
-        record = read_access_record(path)
-        assert record is not None
-        assert record.hits == 2
-        assert record.size_bytes == path.stat().st_size
-
-    def test_one_sidecar_write_per_entry(self, tmp_path, monkeypatch):
-        from repro.cache import gc as gc_mod
-
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        writes = []
-        real_write = gc_mod.write_access_record
-
-        def counting_write(entry_path, record):
-            writes.append(entry_path)
-            real_write(entry_path, record)
-
-        monkeypatch.setattr(gc_mod, "write_access_record", counting_write)
-        with buffered_access_records():
-            store.put(key, make_artifact())
-            for _ in range(5):
-                assert store.get(key) is not None
-        assert len(writes) == 1  # 1 put + 5 hits coalesced into one write
-
-    def test_hits_without_put_fold_into_existing_sidecar(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        path = store.put(key, make_artifact())
-        before = read_access_record(path)
-        with buffered_access_records():
-            assert store.get(key) is not None
-            assert store.get(key) is not None
-        after = read_access_record(path)
-        assert after.hits == before.hits + 2
-        assert after.created == before.created
-
-    def test_vanished_entry_skipped_at_flush(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        with buffered_access_records():
-            path = store.put(key, make_artifact())
-            path.unlink()  # concurrent clear/gc between access and flush
-        assert read_access_record(path) is None
-
-    def test_nested_blocks_flush_once_at_outermost_exit(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        with buffered_access_records():
-            path = store.put(key, make_artifact())
-            with buffered_access_records():
-                assert store.get(key) is not None
-            # the inner exit must NOT flush: the outer buffer owns it
-            assert read_access_record(path) is None
-        record = read_access_record(path)
-        assert record is not None and record.hits == 1
-
-    def test_flush_happens_even_on_error(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        with pytest.raises(RuntimeError):
-            with buffered_access_records():
-                path = store.put(key, make_artifact())
-                raise RuntimeError("boom")
-        assert read_access_record(path) is not None
-
-    def test_immediate_writes_resume_after_block(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        with buffered_access_records():
-            path = store.put(key, make_artifact())
-        assert store.get(key) is not None  # outside: immediate write
-        assert read_access_record(path).hits == 1
+        key, path = put_aged(store, 0, NOW)
+        assert store.stats().entries == 1
+        assert [e.key for e in store.iter_entries()] == [key]
+        assert path.stat().st_mtime == NOW
+        report = collect(store, GCBudget(max_bytes=None, max_age_days=1.0))
+        assert [e.digest for e in report.evictions] == [key.digest]
 
 
 class TestEvictionOrder:
@@ -236,15 +103,16 @@ class TestEvictionOrder:
         store = Cache(tmp_path / "store")
         keys = {}
         for seed, age in [(0, NOW - 300), (1, NOW - 200), (2, NOW - 100)]:
-            keys[seed], _ = put_aged(store, seed, age, size_bytes=100)
-        report = collect(store, GCBudget(max_bytes=150), now=NOW)
+            keys[seed], path = put_aged(store, seed, age)
+        size = path.stat().st_size  # seeds 0-2 serialize to equal sizes
+        report = collect(store, GCBudget(max_bytes=size + size // 2), now=NOW)
         assert [e.digest for e in report.evictions] == [
             keys[0].digest,
             keys[1].digest,
         ]
         assert {e.reason for e in report.evictions} == {"bytes"}
         assert report.surviving_entries == 1
-        assert report.surviving_bytes == 100
+        assert report.surviving_bytes == size
         assert store.get(keys[2]) is not None
 
     def test_max_age_evicts_only_expired(self, tmp_path):
@@ -261,8 +129,8 @@ class TestEvictionOrder:
 
     def test_equal_age_evicts_larger_first(self, tmp_path):
         store = Cache(tmp_path / "store")
-        small, _ = put_aged(store, 0, NOW - 100, size_bytes=10)
-        big, _ = put_aged(store, 1, NOW - 100, size_bytes=5000)
+        small, _ = put_aged(store, 0, NOW - 100)
+        big, _ = put_aged(store, 1, NOW - 100, padding=5000)
         report = collect(
             store, GCBudget(max_bytes=None, max_entries=1), now=NOW
         )
@@ -270,12 +138,11 @@ class TestEvictionOrder:
         assert report.evictions[0].digest == big.digest
         assert store.get(small) is not None
 
-    def test_eviction_removes_sidecar_and_empty_shard(self, tmp_path):
+    def test_eviction_removes_entry_and_empty_shard(self, tmp_path):
         store = Cache(tmp_path / "store")
         key, path = put_aged(store, 0, NOW - 100)
         collect(store, GCBudget(max_bytes=None, max_entries=0), now=NOW)
         assert not path.exists()
-        assert not sidecar_path(path).exists()
         assert not path.parent.exists()  # empty shard dir pruned
 
     def test_dry_run_deletes_nothing(self, tmp_path):
@@ -333,17 +200,6 @@ class TestDebris:
         )
         assert report.reaped_tmp_files == 1
         assert not debris.exists()
-
-    def test_orphan_sidecar_reaped(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key = make_key()
-        path = store.put(key, make_artifact())
-        path.unlink()  # entry gone, sidecar left behind
-        meta = sidecar_path(path)
-        assert meta.exists()
-        report = collect(store, GCBudget(max_bytes=None), now=NOW)
-        assert report.reaped_tmp_files == 1
-        assert not meta.exists()
 
     def test_iter_debris_sees_root_and_shard_levels(self, tmp_path):
         store = Cache(tmp_path / "store")
@@ -495,136 +351,26 @@ class TestRunnerAutoGC:
 
 
 class TestConcurrency:
-    def test_get_during_gc_is_a_clean_miss_or_hit(self, tmp_path):
+    def test_get_during_gc_is_a_clean_miss_or_hit(self, tmp_path, monkeypatch):
+        """An eviction forced between ``get``'s read and its mtime
+        stamp: ``get`` returns the entry it read, does not raise, and
+        does not bring the evicted file back."""
         store = Cache(tmp_path / "store")
-        keys = [put_aged(store, seed, NOW - 100 - seed)[0] for seed in range(6)]
-        errors = []
+        key, path = put_aged(store, 0, NOW - 100)
+        real_utime = os.utime
+        stamped = []
 
-        def reader():
-            try:
-                for _ in range(50):
-                    for key in keys:
-                        entry = store.get(key)
-                        assert entry is None or entry.key == key
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+        def evict_then_stamp(target, *args, **kwargs):
+            collect(store, GCBudget(max_bytes=None, max_entries=0), now=NOW)
+            stamped.append(target)
+            return real_utime(target, *args, **kwargs)
 
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        # evict everything while the readers hammer get()
-        collect(store, GCBudget(max_bytes=None, max_entries=0), now=NOW)
-        for t in threads:
-            t.join()
-        assert errors == []
-        # a racing record_hit may have resurrected a sidecar after its
-        # entry died; a follow-up collection must reap it as an orphan
-        report = collect(
-            store, GCBudget(max_bytes=None, tmp_grace_s=0.0), now=NOW
-        )
-        assert report.surviving_entries == 0
-        assert list(iter_debris(store.root)) == []
-
-
-def put_dated(store, seed, created, last_access, size_bytes=None):
-    """Put one entry with independent creation and last-access stamps
-    (lifetime budgets read creation, age budgets read last access)."""
-    key = make_key(seed=seed)
-    path = store.put(key, make_artifact(seed=seed))
-    if size_bytes is None:
-        size_bytes = path.stat().st_size
-    write_access_record(
-        path,
-        AccessRecord(
-            created=created,
-            last_access=last_access,
-            hits=5,
-            size_bytes=size_bytes,
-        ),
-    )
-    return key, path
-
-
-class TestLifetimeBudget:
-    def test_often_hit_ancient_entry_expires(self, tmp_path):
-        """The budget's reason to exist: max_age_days never evicts an
-        entry that keeps hitting, max_lifetime_days does."""
-        store = Cache(tmp_path / "store")
-        ancient, _ = put_dated(
-            store, 0, created=NOW - 10 * 86400.0, last_access=NOW - 60.0
-        )
-        young, _ = put_dated(
-            store, 1, created=NOW - 86400.0, last_access=NOW - 60.0
-        )
-        # age-only budget keeps both: last access is recent
-        report = collect(
-            store, GCBudget(max_bytes=None, max_age_days=7.0), now=NOW
-        )
-        assert report.evicted_entries == 0
-        # lifetime budget evicts by creation time despite the fresh hits
-        report = collect(
-            store, GCBudget(max_bytes=None, max_lifetime_days=7.0), now=NOW
-        )
-        assert report.evicted_entries == 1
-        assert report.evictions[0].reason == "lifetime"
-        assert store.get(ancient) is None
-        assert store.get(young) is not None
-
-    def test_lifetime_step_precedes_age_step(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        both, _ = put_dated(
-            store, 0, created=NOW - 10 * 86400.0, last_access=NOW - 5 * 86400.0
-        )
-        report = collect(
-            store,
-            GCBudget(max_bytes=None, max_age_days=2.0, max_lifetime_days=7.0),
-            now=NOW,
-        )
-        assert [e.reason for e in report.evictions] == ["lifetime"]
-
-    def test_dry_run_counts_without_deleting(self, tmp_path):
-        store = Cache(tmp_path / "store")
-        key, path = put_dated(
-            store, 0, created=NOW - 10 * 86400.0, last_access=NOW
-        )
-        report = collect(
-            store,
-            GCBudget(max_bytes=None, max_lifetime_days=7.0),
-            dry_run=True,
-            now=NOW,
-        )
-        assert report.evicted_entries == 1
-        assert path.exists()
-        assert store.get(key) is not None
-
-    def test_env_var_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_LIFETIME_DAYS", "14")
-        assert GCBudget.from_env().max_lifetime_days == 14.0
-        monkeypatch.setenv("REPRO_CACHE_MAX_LIFETIME_DAYS", "0")
-        assert GCBudget.from_env().max_lifetime_days is None
-        monkeypatch.delenv("REPRO_CACHE_MAX_LIFETIME_DAYS")
-        assert GCBudget.from_env().max_lifetime_days is None
-
-    def test_env_garbage_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_LIFETIME_DAYS", "fortnight")
-        with pytest.raises(CacheError):
-            GCBudget.from_env()
-
-    def test_cli_flag_overrides(self, tmp_path, capsys):
-        from datetime import datetime, timezone
-
-        from repro.cli import main
-
-        store = Cache(tmp_path / "store")
-        real_now = datetime.now(timezone.utc).timestamp()
-        put_dated(
-            store,
-            0,
-            created=real_now - 30 * 86400.0,
-            last_access=real_now - 60.0,
-        )
-        argv = ["cache", "gc", "--cache-dir", str(store.root)]
-        assert main(argv + ["--max-lifetime-days", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "(lifetime)" in out
-        assert "evicted 1/1" in out
+        monkeypatch.setattr("repro.cache.store.os.utime", evict_then_stamp)
+        entry = store.get(key)
+        monkeypatch.undo()
+        assert stamped == [path]  # the eviction did land mid-get
+        assert entry is not None
+        assert entry.key == key
+        assert entry.artifact == make_artifact(seed=0)
+        assert not path.exists()
+        assert store.get(key) is None

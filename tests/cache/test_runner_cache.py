@@ -106,6 +106,26 @@ class TestVerifyStore:
         assert not report.ok
         assert report.mismatches == 1
 
+    def test_verify_ignores_git_revision(self, tmp_path):
+        from repro.cache.verify import verify_store
+
+        root = str(tmp_path / "store")
+        run("fig1", cache="auto", cache_dir=root)
+        store = Cache(root)
+        key = cache_key_for("fig1", True, 0)
+        entry = store.get(key)
+        import dataclasses
+
+        # The commit that wrote an entry is provenance: an entry stored
+        # at another revision (or on a dirty tree) still verifies...
+        moved = dataclasses.replace(entry.artifact, git_revision="0000000-dirty")
+        store.put(key, moved)
+        report = verify_store(store, sample=None, seed=0)
+        assert report.ok and report.checked == 1
+        # ...while a forged result at that revision is still caught.
+        store.put(key, dataclasses.replace(moved, verdict="MISMATCH"))
+        assert verify_store(store, sample=None, seed=0).mismatches == 1
+
     def test_verify_reports_stale_without_rerunning(self, tmp_path):
         from repro.cache.verify import verify_store
 

@@ -1,9 +1,11 @@
 """The sharded ``ab/cd/<digest>`` layout — the store's only one — and
 its read-only-store contract."""
 
+import os
 import shutil
+from pathlib import Path
 
-from repro.cache.gc import GCBudget, collect, sidecar_path
+from repro.cache.gc import GCBudget, collect
 from repro.cache.store import Cache, CacheKey
 from repro.runtime.artifact import RunArtifact
 
@@ -58,7 +60,6 @@ class TestShardedLayout:
             path.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(canonical, path)
         canonical.unlink()
-        sidecar_path(canonical).unlink()
         assert store.get(key) is None
         assert list(store.iter_entry_paths()) == []
         assert store.stats().entries == 0
@@ -67,27 +68,59 @@ class TestShardedLayout:
         assert store.clear() == 0
         assert all(path.exists() for path in foreign)
 
+    def test_older_build_dotfiles_are_foreign(self, tmp_path):
+        """The ``.meta-*`` access sidecars and ``.lock-*`` files that
+        older builds kept beside each entry are never read, counted,
+        reaped or removed — not even when their entry is evicted."""
+        store = Cache(tmp_path / "store")
+        key = make_key()
+        path = store.put(key, make_artifact())
+        leftovers = [
+            path.parent / f".meta-{path.name}",
+            path.parent / f".lock-{path.name}",
+        ]
+        for leftover in leftovers:
+            leftover.write_text("{}", encoding="utf-8")
+            os.utime(leftover, (0, 0))
+        stats = store.stats()
+        assert (stats.entries, stats.tmp_files) == (1, 0)
+        report = collect(
+            store, GCBudget(max_bytes=None, max_entries=0, tmp_grace_s=0.0)
+        )
+        assert report.evicted_entries == 1
+        assert report.reaped_tmp_files == 0
+        assert store.clear() == 0
+        assert all(leftover.exists() for leftover in leftovers)
+
 
 class TestReadOnlyStore:
-    """``get`` on a store it cannot write to: misses, never errors — a
-    shared read-only CI cache must degrade to recomputation, not take
-    the run down (the documented contract).
+    """``get`` on a store it cannot write to: a good entry hits, a bad
+    one misses, and nothing raises — a shared read-only CI cache must
+    degrade to recomputation, not take the run down (the documented
+    contract).
 
-    Write denial is simulated by making the entry lock unacquirable
-    (acquiring it creates the lock file, the first write any mutation
-    path needs), which works regardless of the uid tests run under —
-    root would bypass a chmod-based setup entirely.
+    Write denial is simulated by making both writes ``get`` can attempt
+    — the hit's ``os.utime`` and the discard's ``Path.unlink`` — raise,
+    which works regardless of the uid tests run under (root would
+    bypass a chmod-based setup entirely).
     """
 
     def _lock_out_writes(self, monkeypatch):
-        from contextlib import contextmanager
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Read-only file system", str(path))
 
-        @contextmanager
-        def denied(entry_path):
-            raise PermissionError(13, "Read-only file system", str(entry_path))
-            yield  # pragma: no cover
+        monkeypatch.setattr("repro.cache.store.os.utime", denied)
+        monkeypatch.setattr(Path, "unlink", denied)
 
-        monkeypatch.setattr("repro.cache.store.entry_lock", denied)
+    def test_good_entry_hits(self, tmp_path, monkeypatch):
+        store = Cache(tmp_path / "store")
+        key = make_key()
+        path = store.put(key, make_artifact())
+        os.utime(path, (0, 0))
+        self._lock_out_writes(monkeypatch)
+        entry = store.get(key)
+        assert entry is not None and entry.artifact == make_artifact()
+        assert path.stat().st_mtime == 0  # the stamp was denied
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path, monkeypatch):
         store = Cache(tmp_path / "store")

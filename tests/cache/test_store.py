@@ -1,6 +1,11 @@
 """Unit tests for the content-addressed artifact store."""
 
+import dataclasses
+import itertools
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +69,22 @@ class TestCacheKey:
     def test_cache_key_for_unknown_experiment(self):
         with pytest.raises(ExperimentError):
             cache_key_for("nope", True, 0)
+
+    def test_cache_md_table_names_every_key_field(self):
+        """docs/CACHE.md's cache-key table lists exactly CacheKey's
+        fields, under their real names."""
+        doc = Path(__file__).resolve().parents[2] / "docs" / "CACHE.md"
+        text = doc.read_text(encoding="utf-8")
+        lines = text.split("## The cache key\n", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+        assert table[0].split("|")[1].strip() == "component"
+        named = {
+            name
+            for row in table[2:]
+            for name in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        assert named == {f.name for f in dataclasses.fields(CacheKey)}
 
 
 class TestDefaultCacheDir:
@@ -152,12 +173,7 @@ class TestPutCleanup:
         monkeypatch.setattr("repro.cache.store.json.dump", boom)
         with pytest.raises(TypeError):
             store.put(make_key(), make_artifact())
-        # only the (persistent, GC-reaped) lock file may remain
-        leftovers = [
-            p for p in store.root.rglob("*")
-            if p.is_file() and not p.name.startswith(".lock-")
-        ]
-        assert leftovers == []
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
     def test_os_failure_raises_cache_error_and_cleans_up(
         self, tmp_path, monkeypatch
@@ -173,11 +189,31 @@ class TestPutCleanup:
         with pytest.raises(CacheError):
             store.put(make_key(), make_artifact())
         monkeypatch.undo()
-        leftovers = [
-            p for p in store.root.rglob("*")
-            if p.is_file() and not p.name.startswith(".lock-")
-        ]
-        assert leftovers == []
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
+
+    def test_put_lands_when_its_shard_is_pruned_before_mkstemp(
+        self, tmp_path, monkeypatch
+    ):
+        # A collection prunes empty shard directories, so one can vanish
+        # between put's mkdir and its mkstemp; put must retry, not fail.
+        from repro.cache.gc import prune_empty_shards
+
+        store = Cache(tmp_path / "store")
+        real_mkstemp = tempfile.mkstemp
+        pruned = []
+
+        def prune_then_mkstemp(*args, **kwargs):
+            if not pruned:
+                prune_empty_shards(store.root)
+                pruned.append(kwargs["dir"])
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr("repro.cache.store.tempfile.mkstemp", prune_then_mkstemp)
+        key = make_key()
+        path = store.put(key, make_artifact())
+        monkeypatch.undo()
+        assert pruned == [path.parent]
+        assert store.get(key).artifact == make_artifact()
 
 
 class TestMaintenance:
@@ -209,16 +245,12 @@ class TestMaintenance:
         assert stats.tmp_files == 0 and stats.gc is None
         assert Cache(tmp_path / "ghost").clear() == 0
 
-    def test_clear_sweeps_sidecars_and_debris(self, tmp_path):
+    def test_clear_sweeps_debris(self, tmp_path):
         store = Cache(tmp_path / "store")
         path = store.put(make_key(), make_artifact())
         (path.parent / ".tmp-orphan.json").write_text("x", encoding="utf-8")
         (store.root / ".tmp-root.json").write_text("x", encoding="utf-8")
-        assert store.clear() == 1  # counts entries, not bookkeeping files
-        leftovers = [
-            p for p in store.root.rglob("*")
-            if p.name.startswith((".tmp-", ".meta-"))
-        ]
-        assert leftovers == []
+        assert store.clear() == 1  # counts entries, not debris
+        assert list(store.root.rglob(".tmp-*")) == []
         assert store.stats().entries == 0
         assert store.stats().tmp_files == 0

@@ -269,6 +269,13 @@ class TestCacheCommands:
         assert main(["cache", "stats"]) == 0
         assert "entries: 1" in capsys.readouterr().out
 
+    def test_gc_lifetime_flag_is_a_usage_error(self, capsys):
+        # The creation-time budget went with the access sidecars that
+        # held creation times; an entry file's mtime is its last access.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "gc", "--max-lifetime-days", "7"])
+        assert excinfo.value.code == 2
+
     def test_gc_evicts_under_entry_budget(self, capsys):
         assert main(["run", "fig1", "--seed", "0"]) == 0
         assert main(["run", "fig1", "--seed", "1"]) == 0

@@ -52,9 +52,14 @@ class _Frame:
     scan piece.  Events live on the frame (not keyed by size) so that
     randomized algorithms can lay out each node's scan independently.
     ``node`` is the node's preorder index in the recursion tree — the
-    address randomized placements draw their pieces at."""
+    address randomized placements draw their pieces at.  ``suffix`` and
+    ``child_run`` hold the node's closed-form tables once first needed
+    (see :meth:`ExecutionCursor._event_suffix_totals` and
+    :meth:`ExecutionCursor._child_run_end`)."""
 
-    __slots__ = ("size", "events", "event_idx", "scan_done", "node")
+    __slots__ = (
+        "size", "events", "event_idx", "scan_done", "node", "suffix", "child_run"
+    )
 
     def __init__(
         self,
@@ -63,15 +68,27 @@ class _Frame:
         event_idx: int = 0,
         scan_done: int = 0,
         node: int = 0,
+        suffix: Optional[tuple[list[int], list[int]]] = None,
+        child_run: Optional[list[int]] = None,
     ):
         self.size = size
         self.events = events
         self.event_idx = event_idx
         self.scan_done = scan_done
         self.node = node
+        self.suffix = suffix
+        self.child_run = child_run
 
     def clone(self) -> "_Frame":
-        return _Frame(self.size, self.events, self.event_idx, self.scan_done, self.node)
+        return _Frame(
+            self.size,
+            self.events,
+            self.event_idx,
+            self.scan_done,
+            self.node,
+            self.suffix,
+            self.child_run,
+        )
 
 
 # Event encodings: ("child", child_index) | ("scan", length) | ("leaf",)
@@ -145,6 +162,11 @@ class ExecutionCursor:
             self._subtree_cache: dict[int, tuple[int, int]] = {}
             self._suffix_cache: dict[int, tuple[list[int], list[int]]] = {}
             self._node_count_cache: dict[int, int] = {}
+            # _normalize's inline descent reads both without a miss path
+            # for leaves: every chain size has a node count, and the
+            # leaf event list is shared whatever the placement
+            self._node_count(n)
+            self._events_cache[spec.base_size] = _LEAF_EVENTS
         self._stack: list[_Frame] = [self._make_frame(n, 0)]
         self._normalize()
 
@@ -171,8 +193,10 @@ class ExecutionCursor:
             else:
                 pieces = self._randomizer(size)
             total = self.spec.scan_length(size)
-            if len(pieces) != self.spec.a + 1 or sum(pieces) != total or any(
-                p < 0 for p in pieces
+            if (
+                len(pieces) != self.spec.a + 1
+                or sum(pieces) != total
+                or min(pieces) < 0
             ):
                 raise SimulationError(
                     f"scan randomizer returned invalid pieces {pieces} for "
@@ -208,8 +232,17 @@ class ExecutionCursor:
     def _normalize(self) -> None:
         """Advance past finished events and descend into pending children
         until the top frame's current event is a pending leaf or scan (or
-        the execution is done)."""
+        the execution is done).
+
+        Child frames are built inline: size ``size // b``, preorder index
+        from the cached node count (:meth:`_child_node`), and the shared
+        event list of that size when there is one (leaves always, every
+        size under a static placement); only an addressable or positional
+        placement's fresh node goes through :meth:`_events_for`."""
         stack = self._stack
+        b = self.spec.b
+        counts = self._node_count_cache
+        shared = self._events_cache
         while stack:
             fr = stack[-1]
             events = fr.events
@@ -222,10 +255,12 @@ class ExecutionCursor:
             ev = events[fr.event_idx]
             kind = ev[0]
             if kind == _CHILD:
-                child = self.spec.child_size(fr.size)
-                stack.append(
-                    self._make_frame(child, self._child_node(fr, ev[1], child))
-                )
+                size = fr.size // b
+                node = fr.node + 1 + ev[1] * counts[size]
+                child_events = shared.get(size)
+                if child_events is None:
+                    child_events = self._events_for(size, node)
+                stack.append(_Frame(size, child_events, 0, 0, node))
                 continue
             if kind == _SCAN and fr.scan_done >= ev[1]:
                 fr.event_idx += 1
@@ -496,7 +531,7 @@ class ExecutionCursor:
         leaves, scans = self.complete_through(idx)
         return BoxOutcome(leaves, scans, completed_size, self.is_done)
 
-    # -- closed-form lookup tables (static placements only) ---------------
+    # -- closed-form lookup tables -----------------------------------------
     def _outermost_depth(self, s: int) -> Optional[int]:
         """Index of the outermost stack frame whose size is <= ``s``, as a
         cached table lookup.
@@ -527,27 +562,32 @@ class ExecutionCursor:
             return None
         return d
 
+    def _per_node(self, frame: _Frame) -> bool:
+        """True iff the frame's event list is its node's own (an internal
+        node under a randomized placement), so its tables cannot be
+        shared per size."""
+        return self._randomizer is not None and frame.size > self.spec.base_size
+
     def _child_run_end(self, frame: _Frame) -> int:
         """First event index at or after the frame's current event that is
-        not a ``child`` event (cached per node size — event lists are
-        shared per size for static placements; addressable placements lay
-        each node out independently, so theirs is scanned per frame)."""
-        if self._addressable:
-            events = frame.events
-            end = len(events)
-            j = frame.event_idx
-            while j < end and events[j][0] == _CHILD:
-                j += 1
-            return j
-        tbl = self._child_run_cache.get(frame.size)
+        not a ``child`` event.  The table is kept on the frame once built:
+        per node under a randomized placement (each node has its own
+        layout), shared per size otherwise (one event list per size)."""
+        tbl = frame.child_run
         if tbl is None:
-            events = frame.events
-            end = len(events)
-            tbl = [0] * (end + 1)
-            tbl[end] = end
-            for j in range(end - 1, -1, -1):
-                tbl[j] = tbl[j + 1] if events[j][0] == _CHILD else j
-            self._child_run_cache[frame.size] = tbl
+            per_size = not self._per_node(frame)
+            if per_size:
+                tbl = self._child_run_cache.get(frame.size)
+            if tbl is None:
+                events = frame.events
+                end = len(events)
+                tbl = [0] * (end + 1)
+                tbl[end] = end
+                for j in range(end - 1, -1, -1):
+                    tbl[j] = tbl[j + 1] if events[j][0] == _CHILD else j
+                if per_size:
+                    self._child_run_cache[frame.size] = tbl
+            frame.child_run = tbl
         return tbl[frame.event_idx]
 
     def _subtree_totals(self, size: int) -> tuple[int, int]:
@@ -560,48 +600,61 @@ class ExecutionCursor:
         return totals
 
     def _event_suffix_totals(self, frame: _Frame) -> tuple[list[int], list[int]]:
-        """Per-size tables ``(leaves, scans)`` of everything from event
-        ``j`` on in a node of this size: ``tables[0][j]``/``tables[1][j]``
-        cover ``events[j:]`` with child events counted as whole fresh
-        subtrees.  Valid because static placements share one event list
-        per size, and all frame sizes come from the chain ``n, n//b, ...``
-        so a size identifies its event list."""
-        tbl = self._suffix_cache.get(frame.size)
+        """Tables ``(leaves, scans)`` of everything from event ``j`` on in
+        the frame's node: ``tables[0][j]``/``tables[1][j]`` cover
+        ``events[j:]`` with child events counted as whole fresh subtrees.
+        Kept on the frame once built, per node or per size exactly as
+        :meth:`_child_run_end`'s table (all frame sizes come from the
+        chain ``n, n//b, ...``, so under a static placement a size
+        identifies its event list)."""
+        tbl = frame.suffix
         if tbl is None:
-            spec = self.spec
-            events = frame.events
-            if frame.size > spec.base_size:
-                child_leaves, child_scans = self._subtree_totals(
-                    frame.size // spec.b
-                )
-            else:
-                child_leaves = child_scans = 0
-            m = len(events)
-            suf_leaves = [0] * (m + 1)
-            suf_scans = [0] * (m + 1)
-            for j in range(m - 1, -1, -1):
-                ev = events[j]
-                kind = ev[0]
-                if kind == _CHILD:
-                    suf_leaves[j] = suf_leaves[j + 1] + child_leaves
-                    suf_scans[j] = suf_scans[j + 1] + child_scans
-                elif kind == _SCAN:
-                    suf_leaves[j] = suf_leaves[j + 1]
-                    suf_scans[j] = suf_scans[j + 1] + ev[1]
+            per_size = not self._per_node(frame)
+            if per_size:
+                tbl = self._suffix_cache.get(frame.size)
+            if tbl is None:
+                spec = self.spec
+                events = frame.events
+                if frame.size > spec.base_size:
+                    child_leaves, child_scans = self._subtree_totals(
+                        frame.size // spec.b
+                    )
                 else:
-                    suf_leaves[j] = suf_leaves[j + 1] + 1
-                    suf_scans[j] = suf_scans[j + 1]
-            tbl = (suf_leaves, suf_scans)
-            self._suffix_cache[frame.size] = tbl
+                    child_leaves = child_scans = 0
+                m = len(events)
+                suf_leaves = [0] * (m + 1)
+                suf_scans = [0] * (m + 1)
+                for j in range(m - 1, -1, -1):
+                    ev = events[j]
+                    kind = ev[0]
+                    if kind == _CHILD:
+                        suf_leaves[j] = suf_leaves[j + 1] + child_leaves
+                        suf_scans[j] = suf_scans[j + 1] + child_scans
+                    elif kind == _SCAN:
+                        suf_leaves[j] = suf_leaves[j + 1]
+                        suf_scans[j] = suf_scans[j + 1] + ev[1]
+                    else:
+                        suf_leaves[j] = suf_leaves[j + 1] + 1
+                        suf_scans[j] = suf_scans[j + 1]
+                tbl = (suf_leaves, suf_scans)
+                if per_size:
+                    self._suffix_cache[frame.size] = tbl
+            frame.suffix = tbl
         return tbl
+
+    def _close_frames(self, frame_idx: int) -> None:
+        """Drop the frames from ``frame_idx`` on (their nodes are done)
+        and move the cursor to the event after that node."""
+        stack = self._stack
+        del stack[frame_idx:]
+        if stack:
+            stack[-1].event_idx += 1
+            stack[-1].scan_done = 0
+        self._normalize()
 
     def _complete_through_cached(self, frame_idx: int) -> tuple[int, int]:
         """:meth:`complete_through` computed with the suffix tables —
-        O(depth) instead of O(depth * events), same result and state.
-        Addressable placements have per-node event lists, so the per-size
-        suffix tables do not apply; the direct walk is used instead."""
-        if self._addressable:
-            return self.complete_through(frame_idx)
+        O(depth) instead of O(depth * events), same result and state."""
         stack = self._stack
         leaves = 0
         scans = 0
@@ -622,13 +675,28 @@ class ExecutionCursor:
             suf_leaves, suf_scans = self._event_suffix_totals(fr)
             leaves += suf_leaves[start]
             scans += suf_scans[start]
-        del stack[frame_idx:]
-        if stack:
-            stack[-1].event_idx += 1
-            stack[-1].scan_done = 0
-        self._normalize()
+        self._close_frames(frame_idx)
         return leaves, scans
 
+    def _check_run(self, name: str, s: int, count: int, divisor: int = 1) -> None:
+        """The argument checks the public ``feed_*_run`` methods share."""
+        if self._randomizer is not None and not self._addressable:
+            raise SimulationError(
+                f"{name} requires a static or addressable scan "
+                "placement; positional randomizers must step box by box"
+            )
+        if not self._stack:
+            raise SimulationError("execution already complete")
+        if s < 1:
+            raise SimulationError(f"box size must be >= 1, got {s}")
+        if count < 1:
+            raise SimulationError(f"count must be >= 1, got {count}")
+        if divisor < 1:
+            raise SimulationError(
+                f"completion_divisor must be >= 1, got {divisor}"
+            )
+
+    # -- closed forms -------------------------------------------------------
     def feed_simplified_run(
         self, s: int, count: int, completion_divisor: int = 1
     ) -> tuple[int, int, int]:
@@ -652,23 +720,13 @@ class ExecutionCursor:
         would desynchronize its stream — an addressable placement draws
         by node index, so unvisited nodes consume nothing either way.
         """
-        if self._randomizer is not None and not self._addressable:
-            raise SimulationError(
-                "feed_simplified_run requires a static or addressable scan "
-                "placement; positional randomizers must step box by box"
-            )
-        if not self._stack:
-            raise SimulationError("execution already complete")
-        if s < 1:
-            raise SimulationError(f"box size must be >= 1, got {s}")
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        if completion_divisor < 1:
-            raise SimulationError(
-                f"completion_divisor must be >= 1, got {completion_divisor}"
-            )
+        self._check_run("feed_simplified_run", s, count, completion_divisor)
+        return self._simplified_run(s, count, s // completion_divisor)
+
+    def _simplified_run(self, s: int, count: int, s_eff: int) -> tuple[int, int, int]:
+        """:meth:`feed_simplified_run` without the argument checks;
+        ``s_eff`` is ``s // completion_divisor``."""
         spec = self.spec
-        s_eff = s // completion_divisor
         stack = self._stack
         fr = stack[-1]
         ev = fr.events[fr.event_idx]
@@ -754,20 +812,15 @@ class ExecutionCursor:
         Batches the two regimes that dominate long runs — boxes fully
         absorbed by the current scan piece (one division) and boxes too
         small to complete a leaf (consumed without progress) — and
-        falls back to a single :meth:`feed_greedy` step otherwise.
-        Equivalent to ``consumed`` sequential :meth:`feed_greedy` calls.
+        takes any other box through the O(depth) per-box step
+        :meth:`_greedy_box`.  Equivalent to ``consumed`` sequential
+        :meth:`feed_greedy` calls.
         """
-        if self._randomizer is not None and not self._addressable:
-            raise SimulationError(
-                "feed_greedy_run requires a static or addressable scan "
-                "placement; positional randomizers must step box by box"
-            )
-        if not self._stack:
-            raise SimulationError("execution already complete")
-        if s < 1:
-            raise SimulationError(f"box size must be >= 1, got {s}")
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
+        self._check_run("feed_greedy_run", s, count)
+        return self._greedy_run(s, count)
+
+    def _greedy_run(self, s: int, count: int) -> tuple[int, int, int]:
+        """:meth:`feed_greedy_run` without the argument checks."""
         fr = self._stack[-1]
         ev = fr.events[fr.event_idx]
         if ev[0] == _SCAN:
@@ -785,8 +838,68 @@ class ExecutionCursor:
         elif s < self.spec.base_size:
             # cannot afford a leaf and is not at a scan: no progress
             return count, 0, 0
-        out = self.feed_greedy(s)
-        return 1, out.leaves, out.scan_accesses
+        leaves, scans = self._greedy_box(s)
+        return 1, leaves, scans
+
+    def _greedy_box(self, s: int) -> tuple[int, int]:
+        """One greedy box in O(depth) per step; returns ``(leaves,
+        scan_accesses)``, exactly as :meth:`feed_greedy`.
+
+        At a scan the box advances ``min(budget, rest of the piece)``.
+        At a leaf it completes the outermost frame whose remaining
+        accesses fit the budget (the leaf itself fits whenever the budget
+        covers ``base_size``): the greedy box would cover that remainder
+        access by access, every leaf in it affordable, and the frame's
+        parent does not fit, so the walk outward stops at the first
+        frame that does not.
+        """
+        stack = self._stack
+        base = self.spec.base_size
+        budget = s
+        leaves = 0
+        scans = 0
+        while budget > 0 and stack:
+            top = len(stack) - 1
+            fr = stack[top]
+            ev = fr.events[fr.event_idx]
+            if ev[0] == _SCAN:
+                rem = ev[1] - fr.scan_done
+                if budget < rem:
+                    fr.scan_done += budget
+                    scans += budget
+                    break
+                fr.event_idx += 1
+                fr.scan_done = 0
+                self._normalize()
+                scans += rem
+                budget -= rem
+                continue
+            if budget < base:
+                break
+            # at a leaf: its frame holds the leaf alone
+            best = top
+            best_leaves = rem_leaves = 1
+            best_scans = rem_scans = 0
+            best_cost = base
+            j = top
+            while j > 0:
+                j -= 1
+                f = stack[j]
+                suf_leaves, suf_scans = self._event_suffix_totals(f)
+                rem_leaves += suf_leaves[f.event_idx + 1]
+                rem_scans += suf_scans[f.event_idx + 1]
+                cost = rem_leaves * base + rem_scans
+                if cost > budget:
+                    break
+                best = j
+                best_leaves = rem_leaves
+                best_scans = rem_scans
+                best_cost = cost
+            self._close_frames(best)
+            leaves += best_leaves
+            scans += best_scans
+            budget -= best_cost
+        return leaves, scans
 
     def feed_recursive_run(
         self, s: int, count: int, completion_divisor: int = 1
@@ -797,12 +910,13 @@ class ExecutionCursor:
         :meth:`feed_recursive` calls (asserted differentially in
         ``tests/simulation/test_replay.py``).
 
-        Three regimes batch; everything else falls back to single scalar
-        steps, so arbitrary box/spec combinations stay exact:
+        Three regimes batch; every other box takes the O(depth) per-box
+        step :meth:`_recursive_box`, so arbitrary box/spec combinations
+        stay exact:
 
         * a run streaming a scan of a node too large to complete —
           every fully-absorbed box is one division (the boundary box,
-          which spills its leftover budget past the scan, goes scalar);
+          which spills its leftover budget past the scan, is one step);
         * boxes whose budget is consumed *exactly* by ``j`` fresh sibling
           subtrees (``s == j * cost``, ``cost = min(m, subtree
           accesses)``) — one multiply per batch.  The canonical
@@ -816,23 +930,13 @@ class ExecutionCursor:
         :meth:`feed_simplified_run` (sibling batches skip subtrees
         without entering them).
         """
-        if self._randomizer is not None and not self._addressable:
-            raise SimulationError(
-                "feed_recursive_run requires a static or addressable scan "
-                "placement; positional randomizers must step box by box"
-            )
-        if not self._stack:
-            raise SimulationError("execution already complete")
-        if s < 1:
-            raise SimulationError(f"box size must be >= 1, got {s}")
-        if count < 1:
-            raise SimulationError(f"count must be >= 1, got {count}")
-        if completion_divisor < 1:
-            raise SimulationError(
-                f"completion_divisor must be >= 1, got {completion_divisor}"
-            )
+        self._check_run("feed_recursive_run", s, count, completion_divisor)
+        return self._recursive_run(s, count, s // completion_divisor)
+
+    def _recursive_run(self, s: int, count: int, s_eff: int) -> tuple[int, int, int]:
+        """:meth:`feed_recursive_run` without the argument checks;
+        ``s_eff`` is ``s // completion_divisor``."""
         base = self.spec.base_size
-        s_eff = s // completion_divisor
         stack = self._stack
         leaves = 0
         scans = 0
@@ -840,6 +944,7 @@ class ExecutionCursor:
         while True:
             fr = stack[-1]
             ev = fr.events[fr.event_idx]
+            batched = False
             if ev[0] == _SCAN and fr.size > s_eff:
                 # scan streaming: boxes with s <= (scan left) are fully
                 # absorbed (budget exhausted inside the piece)
@@ -855,12 +960,7 @@ class ExecutionCursor:
                         self._normalize()
                     consumed += q
                     scans += step
-                else:
-                    # boundary box: spills leftover budget past the scan
-                    out = self.feed_recursive(s, completion_divisor)
-                    consumed += 1
-                    leaves += out.leaves
-                    scans += out.scan_accesses
+                    batched = True
             else:
                 idx = self._outermost_depth(s_eff)
                 if idx is None:
@@ -868,48 +968,117 @@ class ExecutionCursor:
                         # no scan, no completable ancestor, cannot afford
                         # a leaf: the cursor does not move
                         return count, leaves, scans
-                    out = self.feed_recursive(s, completion_divisor)
-                    consumed += 1
-                    leaves += out.leaves
-                    scans += out.scan_accesses
-                else:
-                    batched = 0
-                    fresh = all(
-                        f.event_idx == 0 and f.scan_done == 0
-                        for f in stack[idx:]
-                    )
-                    if fresh and idx > 0:
-                        sz = stack[idx].size
-                        sub_leaves, sub_scans = self._subtree_totals(sz)
-                        cost = min(sz, sub_leaves * base + sub_scans)
-                        if cost <= s and s % cost == 0:
-                            # each box completes exactly j consecutive
-                            # fresh siblings, budget exhausted with no
-                            # leftover to spill deeper
-                            j = s // cost
-                            parent = stack[idx - 1]
-                            avail = self._child_run_end(parent) - parent.event_idx
-                            q = min(count - consumed, avail // j)
-                            if q >= 1:
-                                total = q * j
-                                leaves += total * sub_leaves
-                                scans += total * sub_scans
-                                del stack[idx:]
-                                parent.event_idx += total
-                                parent.scan_done = 0
-                                self._normalize()
-                                consumed += q
-                                batched = 1
-                    if not batched:
-                        # partially progressed, root-level, or inexact
-                        # budget: one scalar budgeted step
-                        out = self.feed_recursive(s, completion_divisor)
-                        consumed += 1
-                        leaves += out.leaves
-                        scans += out.scan_accesses
+                elif idx > 0 and all(
+                    f.event_idx == 0 and f.scan_done == 0 for f in stack[idx:]
+                ):
+                    sz = stack[idx].size
+                    sub_leaves, sub_scans = self._subtree_totals(sz)
+                    cost = min(sz, sub_leaves * base + sub_scans)
+                    if cost <= s and s % cost == 0:
+                        # each box completes exactly j consecutive fresh
+                        # siblings, budget exhausted with no leftover to
+                        # spill deeper
+                        j = s // cost
+                        parent = stack[idx - 1]
+                        avail = self._child_run_end(parent) - parent.event_idx
+                        q = min(count - consumed, avail // j)
+                        if q >= 1:
+                            total = q * j
+                            leaves += total * sub_leaves
+                            scans += total * sub_scans
+                            del stack[idx:]
+                            parent.event_idx += total
+                            parent.scan_done = 0
+                            self._normalize()
+                            consumed += q
+                            batched = True
+            if not batched:
+                # the scan's boundary box, a partially progressed or
+                # root-level subtree, or an inexact budget: one box
+                got_leaves, got_scans = self._recursive_box(s, s_eff)
+                consumed += 1
+                leaves += got_leaves
+                scans += got_scans
             if consumed >= count or not stack:
                 break
         return consumed, leaves, scans
+
+    def _recursive_box(self, s: int, s_eff: int) -> tuple[int, int]:
+        """One budgeted box in O(depth) per step; returns ``(leaves,
+        scan_accesses)``, exactly as :meth:`feed_recursive`.
+
+        Each step computes the remaining ``(leaves, scans)`` of the
+        frames from the top outward, one suffix-table lookup each, and
+        completes the outermost completable frame whose cost
+        ``min(size, leaves * base + scans)`` fits the budget.  Both the
+        size and the remainder shrink from a frame to its child, so the
+        cost does too: the frames that fit are the innermost ones, and
+        the walk outward stops at the first that does not.
+        """
+        stack = self._stack
+        base = self.spec.base_size
+        budget = s
+        leaves = 0
+        scans = 0
+        while budget > 0 and stack:
+            top = len(stack) - 1
+            fr = stack[top]
+            ev = fr.events[fr.event_idx]
+            at_scan = ev[0] == _SCAN
+            rem = ev[1] - fr.scan_done if at_scan else 0
+            if not at_scan or fr.size <= s_eff:
+                idx = self._outermost_depth(s_eff)
+                if idx is not None:
+                    suf_leaves, suf_scans = self._event_suffix_totals(fr)
+                    nxt = fr.event_idx + 1
+                    rem_leaves = suf_leaves[nxt] + (0 if at_scan else 1)
+                    rem_scans = suf_scans[nxt] + rem
+                    best = -1
+                    j = top
+                    while True:
+                        size_j = stack[j].size
+                        cost = rem_leaves * base + rem_scans
+                        if size_j < cost:
+                            cost = size_j
+                        if cost > budget:
+                            break
+                        best = j
+                        best_leaves = rem_leaves
+                        best_scans = rem_scans
+                        best_cost = cost
+                        if j == idx:
+                            break
+                        j -= 1
+                        f = stack[j]
+                        suf_leaves, suf_scans = self._event_suffix_totals(f)
+                        rem_leaves += suf_leaves[f.event_idx + 1]
+                        rem_scans += suf_scans[f.event_idx + 1]
+                    if best >= 0:
+                        self._close_frames(best)
+                        leaves += best_leaves
+                        scans += best_scans
+                        budget -= best_cost
+                        continue
+            if at_scan:
+                # stream the scan (or, when its node is completable but
+                # does not fit, make fine-grained progress in it)
+                if budget < rem:
+                    fr.scan_done += budget
+                    scans += budget
+                    break
+                fr.event_idx += 1
+                fr.scan_done = 0
+                self._normalize()
+                scans += rem
+                budget -= rem
+                continue
+            if budget < base:
+                break
+            fr.event_idx += 1  # complete the pending leaf
+            self._normalize()
+            leaves += 1
+            budget -= base
+        return leaves, scans
 
     def feed_recursive(self, s: int, completion_divisor: int = 1) -> BoxOutcome:
         """Apply one box of size ``s`` under the budgeted-continuation model.

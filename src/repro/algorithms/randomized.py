@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import SpecError
 from repro.algorithms.spec import RegularSpec
-from repro.util.rng import ReplayableStream, as_generator
+from repro.util.rng import ReplayableStream, _integer_from, as_generator
 
 __all__ = [
     "ScanRandomizer",
@@ -70,11 +70,18 @@ class AddressablePlacement:
     Two cursors (or the same cursor after ``reset()``) holding the same
     placement lay out every node identically, whatever order — or
     whether — each node is visited.
+
+    ``slot`` and ``coin`` read node ``i``'s uniform from an aligned
+    block of ``_BLOCK`` indices drawn with one ``uniforms_at`` call,
+    which the addressing contract makes bit-equal to the per-index draw.
+    Only the current block is kept: a cursor enters nodes in increasing
+    preorder index, and a deep tree has millions of them.
     """
 
     addressable = True
 
     _KINDS = ("slot", "split", "coin")
+    _BLOCK = 4096
 
     def __init__(self, spec: RegularSpec, stream: ReplayableStream, kind: str):
         if kind not in self._KINDS:
@@ -86,6 +93,21 @@ class AddressablePlacement:
         self._slots = spec.a + 1
         if kind == "split":
             self._probs = np.full(self._slots, 1.0 / self._slots)
+        # (first index, draws): one tuple, so a reader on another thread
+        # never pairs one block's index with another block's draws
+        self._block: tuple[int, np.ndarray] = (0, np.empty(0))
+
+    def _uniform(self, node_index: int) -> float:
+        """The draw ``stream.uniform_at(node_index)``, read from the
+        current block (drawing the node's block when it is another)."""
+        lo, draws = self._block
+        k = node_index - lo
+        if not 0 <= k < draws.size:
+            lo = node_index - node_index % self._BLOCK
+            draws = self.stream.uniforms_at(lo, lo + self._BLOCK)
+            self._block = (lo, draws)
+            k = node_index - lo
+        return float(draws[k])
 
     def __call__(self, size: int, node_index: int = 0) -> list[int]:
         length = self.spec.scan_length(size)
@@ -93,9 +115,9 @@ class AddressablePlacement:
         if length == 0:
             return out
         if self.kind == "slot":
-            out[self.stream.integers_at(node_index, 0, self._slots)] = length
+            out[_integer_from(self._uniform(node_index), 0, self._slots)] = length
         elif self.kind == "coin":
-            heads = self.stream.uniform_at(node_index) < 0.5
+            heads = self._uniform(node_index) < 0.5
             out[0 if heads else self._slots - 1] = length
         else:  # split: a structured draw — use the per-index generator
             gen = self.stream.generator_at(node_index)

@@ -74,15 +74,19 @@ def finish_positions(
     spec.validate_problem_size(n)
     out: list[int] = []
     cursor = ExecutionCursor(spec, n)
+    # one box at a time through the closed forms: the same semantics as
+    # feed_simplified / feed_greedy, in O(depth) per box
+    feed = (
+        cursor.feed_simplified_run
+        if model == "simplified"
+        else cursor.feed_greedy_run
+    )
     for start in start_positions:
         cursor.seek(int(start))
         for s in boxes:
             if cursor.is_done:
                 break
-            if model == "simplified":
-                cursor.feed_simplified(int(s))
-            else:
-                cursor.feed_greedy(int(s))
+            feed(int(s), 1)
         out.append(cursor.access_index())
     return out
 

@@ -80,7 +80,7 @@ def measured_potential(
         cursor.seek(pos)
         if cursor.is_done:
             continue
-        out = cursor.feed_simplified(box_size)
-        if out.leaves > best:
-            best = out.leaves
+        _, leaves, _ = cursor.feed_simplified_run(box_size, 1)
+        if leaves > best:
+            best = leaves
     return best

@@ -336,8 +336,15 @@ def collect(
     evictions: list[Eviction] = []
     evicted_bytes = 0
     for item, reason in victims:
-        if not dry_run and _unlink_counted(item.path) < 0:
-            continue  # a concurrent clear/gc got there first
+        if not dry_run:
+            try:
+                item.path.unlink()
+            except FileNotFoundError:
+                continue  # a concurrent clear/gc got there first
+            except OSError:
+                # still on disk (a read-only store): it survives
+                survivors.append(item)
+                continue
         evictions.append(
             Eviction(digest=item.digest, size_bytes=item.size_bytes, reason=reason)
         )

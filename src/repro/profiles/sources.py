@@ -66,6 +66,11 @@ Chunk = Union[BoxRuns, np.ndarray]
 SAMPLE_BATCH = 4096  # BoxDistribution.sampler
 PERTURB_BATCH = 1024
 
+# Most limit-profile boxes perturbed_limit materializes: the prefix
+# M(base*b^k) for the largest k within this count; later boxes are cut
+# from copies of it.
+_LIMIT_PREFIX = 1 << 16
+
 
 class BoxSource:
     """A box sequence as a lazy sequence of chunks (``BoxRuns`` or 1-d
@@ -202,19 +207,28 @@ def perturbed_limit(
     """The limit worst-case profile ``M_{a,b}`` with each box size
     multiplied by an i.i.d. factor (rounded to the nearest integer);
     boxes that round to zero are dropped (they provide nothing).  One
-    chunk per 1024 limit-profile boxes.  Single-use."""
-    from repro.profiles.worst_case import limit_profile_boxes
+    chunk per 1024 limit-profile boxes, each cut from array segments of
+    the profile with one ``multipliers`` call.  Single-use."""
+    from repro.profiles.worst_case import _limit_profile_segments
 
     gen = as_generator(rng)
 
     def chunks() -> Iterator[Chunk]:
-        source = limit_profile_boxes(a, b, base_size)
+        segments = _limit_profile_segments(a, b, base_size, _LIMIT_PREFIX)
+        seg = np.empty(0, dtype=np.int64)
+        at = 0
         while True:
-            sizes = np.asarray(
-                list(itertools.islice(source, PERTURB_BATCH)), dtype=np.float64
-            )
-            if sizes.size == 0:
-                return
+            parts = []
+            need = PERTURB_BATCH
+            while need:
+                if at == seg.size:
+                    seg = next(segments)
+                    at = 0
+                take = min(need, seg.size - at)
+                parts.append(seg[at : at + take])
+                at += take
+                need -= take
+            sizes = np.concatenate(parts).astype(np.float64)
             factors = np.asarray(multipliers(sizes.size, gen), dtype=np.float64)
             perturbed = np.rint(sizes * factors).astype(np.int64)
             yield perturbed[perturbed >= 1]

@@ -169,10 +169,7 @@ def limit_profile_boxes(a: int, b: int, base_size: int = 1) -> Iterator[int]:
     it: after emitting ``M(n)``, it emits copies ``2..a`` of ``M(n)`` and
     the box ``n*b``, and so on forever.
     """
-    if b < 2 or a < 1:
-        raise ProfileError(f"need a >= 1, b >= 2; got a={a}, b={b}")
-    if base_size < 1:
-        raise ProfileError(f"base_size must be >= 1, got {base_size}")
+    _check_limit_params(a, b, base_size)
     yield base_size
     size = base_size
     while True:
@@ -181,6 +178,49 @@ def limit_profile_boxes(a: int, b: int, base_size: int = 1) -> Iterator[int]:
             yield from worst_case_boxes(a, b, size, base_size)
         yield next_size
         size = next_size
+
+
+def _limit_profile_segments(
+    a: int, b: int, base_size: int, max_prefix: int
+) -> Iterator[np.ndarray]:
+    """The limit profile :func:`limit_profile_boxes` as consecutive int64
+    arrays, for consumers that cut it into batches.
+
+    The first segment is ``M(m)`` for the largest ``m = base_size*b^k``
+    of at most ``max_prefix`` boxes (from :func:`worst_case_profile`).
+    Past it every ``M(m*b)`` is ``a`` copies of ``M(m)`` and the box
+    ``m*b``, so the other segments are that array again and single big
+    boxes.
+    """
+    _check_limit_params(a, b, base_size)
+    m = base_size
+    while a > 1 and worst_case_box_count(a, b, m * b, base_size) <= max_prefix:
+        m *= b
+    prefix = worst_case_profile(a, b, m, base_size).boxes
+
+    def profile(size: int) -> Iterator[np.ndarray]:
+        # M(size) for size >= m
+        if size == m:
+            yield prefix
+            return
+        for _ in range(a):
+            yield from profile(size // b)
+        yield np.array([size], dtype=np.int64)
+
+    yield prefix
+    size = m
+    while True:
+        for _ in range(a - 1):
+            yield from profile(size)
+        size *= b
+        yield np.array([size], dtype=np.int64)
+
+
+def _check_limit_params(a: int, b: int, base_size: int) -> None:
+    if b < 2 or a < 1:
+        raise ProfileError(f"need a >= 1, b >= 2; got a={a}, b={b}")
+    if base_size < 1:
+        raise ProfileError(f"base_size must be >= 1, got {base_size}")
 
 
 def worst_case_box_count(a: int, b: int, n: int, base_size: int = 1) -> int:
@@ -267,33 +307,40 @@ def order_perturbed_profile(
         raise ProfileError(
             f"order-perturbed M_{{{a},{b}}}({n}) has {count} boxes; too large"
         )
-    out = np.empty(count, dtype=np.int64)
-    cursor = 0
+    # 1. One rule call per internal node, in preorder (the order the
+    # rule's draws must keep).  Preorder visits each depth's nodes in
+    # path order, so positions[d] lists depth d's nodes in that order.
+    positions: list[list[int]] = [[] for _ in range(depth)]
 
-    # Explicit stack of frames: (size, path, next_copy_index, big_box_after).
-    def build(size: int, path: tuple[int, ...]) -> None:
-        nonlocal cursor
-        if size == base_size:
-            out[cursor] = base_size
-            cursor += 1
-            return
+    def visit(size: int, path: tuple[int, ...], d: int) -> None:
         pos = position_rule(size, path)
         if not 1 <= pos <= a:
             raise ProfileError(
                 f"position rule returned {pos}, must be in [1, {a}]"
             )
-        child = size // b
-        for i in range(1, a + 1):
-            build(child, path + (i,))
-            if i == pos:
-                out[cursor] = size
-                cursor += 1
+        positions[d].append(pos)
+        if d + 1 < depth:
+            child = size // b
+            for i in range(1, a + 1):
+                visit(child, path + (i,), d + 1)
 
     # Depth is small (log_b n) but fan-out is large; recursion depth is
     # bounded by the tree depth so Python's default limit is fine.
-    build(n, ())
-    assert cursor == count
-    return SquareProfile(out)
+    if depth:
+        visit(n, (), 0)
+    # 2. Assemble bottom-up: the profiles of one depth's nodes are the
+    # rows of a matrix; a parent's row is its a children's rows joined,
+    # with its own box inserted after copy pos.
+    rows = np.full((a**depth, 1), base_size, dtype=np.int64)
+    for d in range(depth - 1, -1, -1):
+        width = rows.shape[1]
+        children = rows.reshape(a**d, a * width)
+        after = np.asarray(positions[d], dtype=np.int64) * width
+        big = np.arange(a * width + 1) == after[:, None]
+        rows = np.empty(big.shape, dtype=np.int64)
+        rows[big] = base_size * b ** (depth - d)
+        rows[~big] = children.ravel()
+    return SquareProfile(rows.ravel())
 
 
 def matched_worst_case_profile(spec: RegularSpec, n: int) -> SquareProfile:

@@ -12,11 +12,15 @@ boxes in a row — so this module consumes them *chunked*:
   run through the closed-form cursor methods
   :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_simplified_run` /
   :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_greedy_run` /
-  :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_recursive_run`;
+  :meth:`~repro.algorithms.cursor.ExecutionCursor.feed_recursive_run`
+  (their unchecked forms: the engine has vetted the arguments), whose
+  every box, batched or not, is O(depth) cursor arithmetic;
 * array chunks (sampled boxes, low-repetition profiles) stream scans
   vectorized: one ``cumsum`` + ``searchsorted`` decides how many of the
   next boxes the current scan piece absorbs, instead of one Python
-  ``feed`` per box.
+  ``feed`` per box.  Off a streaming scan, simplified-model boxes that
+  agree on their completion level feed as one closed-form run; other
+  boxes take the cursor's O(depth) per-box steps.
 
 Every input is a box source (:mod:`repro.profiles.sources`): a lazy
 sequence of such chunks, of which a profile, a ``BoxRuns`` or an array
@@ -50,7 +54,8 @@ speedups.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import bisect
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -126,6 +131,7 @@ class _ChunkEngine:
         "_run_sizes",
         "_run_counts",
         "_pows",
+        "_chain",
     )
 
     def __init__(
@@ -152,6 +158,8 @@ class _ChunkEngine:
         self._run_sizes: list[int] = []
         self._run_counts: list[int] = []
         self._pows: dict[int, float] = {}
+        # the execution's node sizes, ascending: base_size, ..., n
+        self._chain = np.asarray(sim.spec.problem_sizes(sim.n), dtype=np.int64)
 
     # -- feeding -------------------------------------------------------
     def stopped(self) -> bool:
@@ -173,9 +181,7 @@ class _ChunkEngine:
             if chunk is None:
                 return
             if isinstance(chunk, BoxRuns):
-                for s, count in chunk.iter_runs():
-                    if self.feed_run(s, count) < count:
-                        break
+                self.feed_runs(chunk.iter_runs())
             else:
                 self.feed_array(chunk)
 
@@ -183,43 +189,57 @@ class _ChunkEngine:
         """Feed up to ``count`` boxes of size ``s``; returns the number
         consumed (less than ``count`` only when the execution completed
         or the box budget ran out)."""
+        return self.feed_runs(((s, count),))
+
+    def feed_runs(self, runs: Iterable[tuple[int, int]]) -> int:
+        """Feed ``(size, count)`` runs in order until they end, the
+        execution completes or the box budget runs out; returns the boxes
+        consumed.  The box, leaf, scan and time counters are summed over
+        the runs and stored once."""
         cursor = self.sim.cursor
         if cursor.is_done:
             return 0
-        if self.max_boxes is not None:
-            count = min(count, self.max_boxes - self.boxes_used)
-        if count <= 0:
-            return 0
-        consumed = 0
-        if self.greedy:
-            while consumed < count and not cursor.is_done:
-                got, lv, sc = cursor.feed_greedy_run(s, count - consumed)
-                consumed += got
-                self.leaves += lv
-                self.scans += sc
-        elif self.recursive:
-            kappa = self.kappa
-            while consumed < count and not cursor.is_done:
-                got, lv, sc = cursor.feed_recursive_run(
-                    s, count - consumed, kappa
-                )
-                consumed += got
-                self.leaves += lv
-                self.scans += sc
-        else:
-            kappa = self.kappa
-            while consumed < count and not cursor.is_done:
-                got, lv, sc = cursor.feed_simplified_run(
-                    s, count - consumed, kappa
-                )
-                consumed += got
-                self.leaves += lv
-                self.scans += sc
-        self.boxes_used += consumed
-        self.time_used += s * consumed
-        if self.need_potential and consumed:
-            self._note_run(s, consumed)
-        return consumed
+        # the cursor's unchecked closed forms: is_chunkable vetted the
+        # placement, and s, count and kappa are positive here
+        greedy = self.greedy
+        step = cursor._recursive_run if self.recursive else cursor._simplified_run
+        kappa = self.kappa
+        room = None if self.max_boxes is None else self.max_boxes - self.boxes_used
+        need_potential = self.need_potential
+        leaves = scans = time_used = boxes = 0
+        for s, count in runs:
+            if room is not None:
+                if count > room:
+                    count = room
+                if count <= 0:
+                    break
+            consumed = 0
+            if greedy:
+                while consumed < count and not cursor.is_done:
+                    got, lv, sc = cursor._greedy_run(s, count - consumed)
+                    consumed += got
+                    leaves += lv
+                    scans += sc
+            else:
+                s_eff = s // kappa
+                while consumed < count and not cursor.is_done:
+                    got, lv, sc = step(s, count - consumed, s_eff)
+                    consumed += got
+                    leaves += lv
+                    scans += sc
+            boxes += consumed
+            time_used += s * consumed
+            if need_potential and consumed:
+                self._note_run(s, consumed)
+            if room is not None:
+                room -= consumed
+            if consumed < count or cursor.is_done:
+                break
+        self.leaves += leaves
+        self.scans += scans
+        self.boxes_used += boxes
+        self.time_used += time_used
+        return boxes
 
     def feed_array(self, arr: np.ndarray) -> int:
         """Feed boxes from an int64 array; returns how many were consumed
@@ -227,7 +247,10 @@ class _ChunkEngine:
 
         While the cursor stands in a scan it cannot complete, whole
         windows of boxes are absorbed with one ``cumsum`` +
-        ``searchsorted``; any other box goes through the scalar ``feed``.
+        ``searchsorted``.  Any other box goes through the cursor's
+        unchecked closed forms: a group of simplified-model boxes at
+        once (:meth:`_group_ends`), a budgeted or greedy box as one
+        O(depth) per-box step.
         """
         sim = self.sim
         cursor = sim.cursor
@@ -236,6 +259,10 @@ class _ChunkEngine:
         max_boxes = self.max_boxes
         size = int(arr.size)
         i = 0
+        # simplified box groups, drawn up one window at a time
+        groups_lo = groups_hi = 0
+        group_ends: list[int] = []
+        times: list[int] = []
         while not cursor.is_done and i < size:
             if max_boxes is not None and self.boxes_used >= max_boxes:
                 break
@@ -263,7 +290,7 @@ class _ChunkEngine:
                     # (the box cannot complete the scanning node), but a
                     # box is only fully absorbed when its whole budget
                     # fits the piece; the boundary box spills its
-                    # leftover deeper and goes through the scalar step
+                    # leftover deeper and goes through the per-box step
                     limit = cursor.current_node_size() * kappa
                     big = np.flatnonzero(window >= limit)
                     stop = int(big[0]) if big.size else int(window.size)
@@ -301,16 +328,36 @@ class _ChunkEngine:
                         self.time_used += int(csum[j])
                         i += j + 1
                         continue
-            # single box through the closed-form methods: same semantics
-            # as sim.feed, but fresh-subtree completions hit the cursor's
-            # cached subtree totals instead of walking the stack
+            # single box through the cursor's unchecked per-box closed
+            # forms: same semantics as sim.feed, O(depth) per step
             s = int(arr[i])
+            if not greedy and not self.recursive:
+                # simplified, off a streaming scan: a box acts only
+                # through its completion level and whether it covers a
+                # leaf, so the boxes agreeing with box i on both feed
+                # as one closed-form run (which stops before a box that
+                # would stream)
+                if i >= groups_hi:
+                    groups_lo = i
+                    groups_hi = min(size, i + CHUNK)
+                    window = arr[i:groups_hi]
+                    group_ends = self._group_ends(window, i)
+                    # times[k]: total size of the window's first k boxes
+                    times = [0, *np.cumsum(window).tolist()]
+                q = group_ends[bisect.bisect_right(group_ends, i)] - i
+                if max_boxes is not None:
+                    q = min(q, max_boxes - self.boxes_used)
+                got, lv, sc = cursor._simplified_run(s, q, s // kappa)
+                self.leaves += lv
+                self.scans += sc
+                self.boxes_used += got
+                self.time_used += times[i + got - groups_lo] - times[i - groups_lo]
+                i += got
+                continue
             if greedy:
-                _, lv, sc = cursor.feed_greedy_run(s, 1)
-            elif self.recursive:
-                _, lv, sc = cursor.feed_recursive_run(s, 1, kappa)
+                lv, sc = cursor._greedy_box(s)
             else:
-                _, lv, sc = cursor.feed_simplified_run(s, 1, kappa)
+                lv, sc = cursor._recursive_box(s, s // kappa)
             self.leaves += lv
             self.scans += sc
             self.boxes_used += 1
@@ -320,13 +367,25 @@ class _ChunkEngine:
             self._note_array(arr[:i])
         return i
 
+    def _group_ends(self, window: np.ndarray, lo: int) -> list[int]:
+        """Where the simplified model's box groups of ``window`` (boxes
+        ``lo, lo+1, ...``) end: consecutive boxes share a group when
+        they agree on the outermost chain size their ``s // kappa``
+        completes and on ``s >= base_size``.  Ascending indices, the
+        last one ``lo + len(window)``."""
+        level = np.searchsorted(self._chain, window // self.kappa, side="right")
+        key = 2 * level + (window >= self.sim.spec.base_size)
+        ends = (np.flatnonzero(key[1:] != key[:-1]) + (lo + 1)).tolist()
+        ends.append(lo + int(window.size))
+        return ends
+
     # -- accounting ----------------------------------------------------
     def _pow(self, s: int) -> float:
         """The scalar loop's per-box term ``float(min(s, n)) ** e``, as
         the same Python float ``pow`` (cached per size)."""
         p = self._pows.get(s)
         if p is None:
-            p = float(min(s, self.sim.n)) ** self.sim.spec.exponent
+            p = float(min(s, self.sim.n)) ** self.sim._exponent
             self._pows[s] = p
         return p
 

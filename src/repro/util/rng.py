@@ -156,9 +156,7 @@ class ReplayableStream:
         """
         if high <= low:
             raise ValueError(f"need low < high, got low={low}, high={high}")
-        span = high - low
-        v = low + int(self.uniform_at(index) * span)
-        return min(v, high - 1)  # guard the u -> 1.0 closure under float
+        return _integer_from(self.uniform_at(index), low, high)
 
     def generator_at(self, index: int) -> np.random.Generator:
         """A full :class:`numpy.random.Generator` addressed at ``index``.
@@ -172,6 +170,14 @@ class ReplayableStream:
             raise ValueError(f"index must be >= 0, got {index}")
         key = _philox_key(self.root_seed, self.purpose, self.trial, index)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _integer_from(u: float, low: int, high: int) -> int:
+    """:meth:`ReplayableStream.integers_at`'s mapping of the draw ``u``
+    to an integer in ``[low, high)``, for callers that read ``u`` from a
+    block of ``uniforms_at``."""
+    v = low + int(u * (high - low))
+    return min(v, high - 1)  # guard the u -> 1.0 closure under float
 
 
 def as_generator(rng: object = None) -> np.random.Generator:

@@ -14,6 +14,7 @@ from repro.algorithms.randomized import (
 )
 from repro.profiles.worst_case import worst_case_profile
 from repro.simulation.symbolic import SymbolicSimulator
+from repro.util.rng import ReplayableStream
 
 FACTORIES = [random_slot_placement, random_split_placement, coin_flip_placement]
 
@@ -49,6 +50,39 @@ class TestFactories:
         a = random_split_placement(MM_SCAN, rng=3)
         b = random_split_placement(MM_SCAN, rng=3)
         assert [a(64) for _ in range(4)] == [b(64) for _ in range(4)]
+
+
+class TestBlockDraws:
+    """``slot`` and ``coin`` read their uniform from a drawn block; each
+    node must still get exactly its per-index draw, in any visit order
+    and across block boundaries."""
+
+    INDICES = [0, 1, 4095, 4096, 4097, 9000, 3, 12_289, 8191, 8192, 5]
+
+    def test_slot_matches_per_index_integers(self):
+        stream = ReplayableStream(21)
+        placement = random_slot_placement(MM_SCAN, stream)
+        slots = MM_SCAN.a + 1
+        for node in self.INDICES:
+            want = [0] * slots
+            want[placement.stream.integers_at(node, 0, slots)] = 64
+            assert placement(64, node) == want
+
+    def test_coin_matches_per_index_uniform(self):
+        placement = coin_flip_placement(MM_SCAN, ReplayableStream(22))
+        for node in self.INDICES:
+            heads = placement.stream.uniform_at(node) < 0.5
+            pieces = placement(16, node)
+            assert pieces[0 if heads else -1] == 16
+
+    def test_fresh_placement_draws_the_same_layout(self):
+        used = random_slot_placement(MM_SCAN, ReplayableStream(23))
+        for node in reversed(self.INDICES):
+            used(64, node)
+        fresh = random_slot_placement(MM_SCAN, ReplayableStream(23))
+        assert [used(64, i) for i in self.INDICES] == [
+            fresh(64, i) for i in self.INDICES
+        ]
 
 
 class TestRandomizedCursor:

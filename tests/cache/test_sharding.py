@@ -142,3 +142,18 @@ class TestReadOnlyStore:
         path.rename(other)  # entry now lives under the wrong digest
         self._lock_out_writes(monkeypatch)
         assert store.get(make_key(seed=9)) is None
+
+    def test_gc_counts_an_entry_it_cannot_evict_as_surviving(
+        self, tmp_path, monkeypatch
+    ):
+        """An eviction whose unlink fails leaves the entry on disk, so the
+        report must count it as surviving, not drop it from every tally."""
+        store = Cache(tmp_path / "store")
+        path = store.put(make_key(), make_artifact())
+        size = path.stat().st_size
+        self._lock_out_writes(monkeypatch)
+        report = collect(store, GCBudget(max_bytes=None, max_entries=0))
+        assert (report.examined_entries, report.evicted_entries) == (1, 0)
+        assert (report.surviving_entries, report.surviving_bytes) == (1, size)
+        assert report.evictions == ()
+        assert path.exists() and store.stats().entries == 1

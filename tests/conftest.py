@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.algorithms.library import MM_INPLACE, MM_SCAN, STRASSEN
 from repro.algorithms.spec import RegularSpec
+
+# A larger example budget for suites CI runs on their own
+# (``--hypothesis-profile=ci``); tier-1 runs the default profile.
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -147,6 +147,99 @@ class TestPerturbedLimit:
         assert g1.bit_generator.state == g2.bit_generator.state
 
 
+def _per_box_perturbed_limit(a, b, base, multipliers, gen):
+    """The generator-built perturbed_limit these sources replaced: each
+    1024-box batch sliced from limit_profile_boxes one box at a time."""
+    source = limit_profile_boxes(a, b, base)
+    while True:
+        sizes = np.asarray(
+            list(itertools.islice(source, 1024)), dtype=np.float64
+        )
+        factors = np.asarray(multipliers(sizes.size, gen), dtype=np.float64)
+        perturbed = np.rint(sizes * factors).astype(np.int64)
+        yield perturbed[perturbed >= 1]
+
+
+def _per_box_order_perturbed(a, b, n, base, position_rule):
+    """The recursive, one-call-per-box order_perturbed_profile build."""
+    out = []
+
+    def build(size, path):
+        if size == base:
+            out.append(base)
+            return
+        pos = position_rule(size, path)
+        for i in range(1, a + 1):
+            build(size // b, path + (i,))
+            if i == pos:
+                out.append(size)
+
+    build(n, ())
+    return np.asarray(out, dtype=np.int64)
+
+
+class TestArrayBuiltSources:
+    """The array-built sources against copies of the per-box builders
+    they replaced: equal boxes, equal draws."""
+
+    @pytest.mark.parametrize("prefix", [None, 1, 40])
+    @pytest.mark.parametrize(
+        "a, b, base, seed",
+        [(8, 4, 1, 0), (7, 4, 2, 1), (3, 2, 1, 2), (2, 3, 3, 3)],
+    )
+    def test_perturbed_limit_matches_per_box_build(
+        self, monkeypatch, prefix, a, b, base, seed
+    ):
+        if prefix is not None:  # cut past a small prefix early
+            monkeypatch.setattr("repro.profiles.sources._LIMIT_PREFIX", prefix)
+        mult = uniform_multipliers(2.0)
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        source = perturbed_limit(a, b, base, mult, g1)
+        got = itertools.islice(source.chunks(), 45)
+        want = itertools.islice(_per_box_perturbed_limit(a, b, base, mult, g2), 45)
+        for mine, theirs in zip(got, want, strict=True):
+            np.testing.assert_array_equal(mine, theirs)
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "a, b, n, base",
+        [
+            (8, 4, 256, 1),
+            (7, 4, 128, 2),
+            (3, 2, 64, 1),
+            (2, 3, 27, 1),
+            (1, 2, 8, 1),
+            (5, 2, 3, 3),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_order_perturbed_matches_per_box_build(self, a, b, n, base, seed):
+        calls, want_calls = [], []
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def rule(gen, log):
+            def position(size, path):
+                log.append((size, path))
+                return int(gen.integers(1, a + 1))
+
+            return position
+
+        got = order_perturbed_profile(a, b, n, base, position_rule=rule(g1, calls))
+        want = _per_box_order_perturbed(a, b, n, base, rule(g2, want_calls))
+        np.testing.assert_array_equal(got.boxes, want)
+        assert calls == want_calls
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    def test_order_perturbed_default_rule_draws_as_before(self):
+        g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
+        got = order_perturbed_profile(8, 4, 64, rng=g1)
+        want = _per_box_order_perturbed(
+            8, 4, 64, 1, lambda size, path: int(g2.integers(1, 9))
+        )
+        np.testing.assert_array_equal(got.boxes, want)
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+
 class TestOrderPerturbed:
     def test_fresh_random_profiles_back_to_back(self):
         g1, g2 = np.random.default_rng(6), np.random.default_rng(6)
